@@ -543,6 +543,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"schema-error: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, but numerical
+        print(f"numeric-error: linear algebra failure: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"schema-error: {exc}", file=sys.stderr)
         return 1

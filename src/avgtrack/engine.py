@@ -8,11 +8,18 @@ The flat state vector is laid out as
 
     y = [ s (N*n) | r (N*n) | clocks (N) | alpha (E) | beta (E) ]
 
-and the right-hand side is compiled per scenario into two constant matrices
-(one gather of the edge quantities, one fused output map holding the drift,
-their scatter and an affine column) so a single evaluation costs a few
-small matmuls regardless of the control law. The same compiled object
-reproduces the per-agent control values for trace samples.
+and the right-hand side is compiled per scenario into one of two operator
+forms, picked from the state dimension alone (DENSE_MAX_DIM). Small
+systems get two constant matrices, one gather of the edge quantities and
+one fused output map holding the drift, their scatter and an affine
+column, so a single evaluation is one matrix-vector product whatever the
+control law. Larger systems, where that map would be almost all zeros and
+grow as dim^2, get edge-indexed operators: every coupling is formed from
+the edge differences x_tail - x_head through index arrays, K, A and B act
+as small per-agent matmuls, and the edge terms are summed back into the
+agents with bincount, so cost and memory grow with N + E. Both forms
+evaluate the same formulas, and the same compiled object reproduces the
+per-agent control values for trace samples.
 
 Each step is classical fourth-order Runge-Kutta while the step resolves
 the boundary layer eps e^{-phi t} of the static and modified laws. Their
@@ -35,7 +42,7 @@ import numpy as np
 from .clocksync import ATTRACTING, DEAD_BAND, PAPER_LITERAL
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
-from .graph import Topology
+from .graph import Topology, laplacian
 from .matkernel import is_hurwitz
 from .signals import InputFamily, Plant
 
@@ -44,6 +51,15 @@ _CONTROLLERS = ("static", "modified", "adaptive")
 # Classical RK4 keeps a decaying real mode lambda decaying only while
 # h |lambda| stays inside its real stability interval, about [-2.785, 0].
 RK4_STABILITY_LIMIT = 2.785
+
+# Largest state dimension compiled to the dense fused map. Up to it one
+# evaluation of the right-hand side is a single matrix-vector product, which
+# at small N costs less than the string of small numpy calls of the
+# edge-indexed form. Above it the map's dim^2 entries are almost all zero
+# and the edge-indexed form, whose cost and memory grow with N + E, is used.
+# Per RK4 or implicit step the two forms cost the same near dim = 300 (ring
+# plus N/2 chords, n = 2, p = 1, one BLAS thread on a 2-vCPU x86 VM).
+DENSE_MAX_DIM = 300
 
 
 @dataclass(frozen=True)
@@ -152,6 +168,10 @@ class _Dynamics:
     __call__(t, y) evaluates the derivative; controls(t, y) reproduces the
     stacked control inputs u (N, p) for trace sampling. implicit_step takes
     the steps that layer_unresolved assigns to it.
+
+    dense says which operator form the scenario compiled to (see
+    DENSE_MAX_DIM): the fused map, or edge-indexed gathers and scatters.
+    Both evaluate the same formulas.
     """
 
     def __init__(self, sc: Scenario):
@@ -169,6 +189,7 @@ class _Dynamics:
         self.sl_b = slice(self.sl_a.stop, self.sl_a.stop + n_edges)
 
         self.controller = sc.controller
+        self.adaptive = sc.controller == "adaptive"
         self.discontinuous = sc.discontinuous
         self.eps = gains.eps
         self.phi = gains.phi
@@ -178,42 +199,113 @@ class _Dynamics:
         self.c2 = gains.c2
         k_mat = gains.k_mat
         self.k_t = k_mat.T
+        self.sigma = -1.0 if sc.clock_convention == ATTRACTING else 1.0
 
         tails = np.array([e[0] for e in topo.edges], dtype=int)
         heads = np.array([e[1] for e in topo.edges], dtype=int)
         self.tails, self.heads = tails, heads
+        lap = laplacian(topo)
+
+        self.dense = dim <= DENSE_MAX_DIM
+        if self.dense:
+            self._compile_fused(sc, lap)
+        else:
+            self._compile_edges(sc)
+
+        # Clock base rate plus any constant reference input: the affine
+        # column of the fused map, or a vector of its own in the edge form.
+        # The reference inputs add (I kron B) f(t) to the r rows. When every
+        # agent shares one frequency and phase this reduces to a fixed
+        # offset (folded into the affine column) plus one sine-scaled
+        # vector; otherwise the full family is evaluated per call.
+        self.const[self.sl_c] = 1.0
+        offset, amp, omega, phase = sc.family.evaluation_terms()
+        self.uniform_wave = bool(np.all(omega == omega[0]) and np.all(phase == phase[0]))
+        self.family = sc.family
+        if self.uniform_wave:
+            self.const[self.sl_r] += self._apply_b(offset)
+            self.wave_omega = float(omega[0])
+            self.wave_phase = float(phase[0])
+            self.in_amp = np.zeros(dim)
+            self.in_amp[self.sl_r] = self._apply_b(amp)
+
+        self.single_channel = p == 1
+        self.has_wave = self.uniform_wave and (self.wave_omega != 0.0 or self.wave_phase != 0.0)
+        self._no_sig = np.zeros(n_edges)
+
+        # The c2-weighted direction term of the static and modified laws
+        # linearises at w = 0 to (c2 / delta) (L kron B K), delta the layer
+        # eps e^{-phi t}; its spectral radius is stiffness / delta, and for
+        # K = -B^T P, rho(K B) = lambda_max(B^T P B).
+        self.stiffness = 0.0
+        if sc.controller != "adaptive" and not sc.discontinuous and n_edges:
+            self.kb = k_mat @ plant.b
+            self.stiffness = float(
+                gains.c2
+                * np.linalg.eigvalsh(lap)[-1]
+                * np.max(np.abs(np.linalg.eigvals(self.kb)))
+            )
+            self._eye = np.eye(n_agents * p)
+            # flat indices of the (t,t), (t,h), (h,t), (h,h) entries of W D^T
+            self.pair_index = np.concatenate(
+                [tails * n_agents + tails, tails * n_agents + heads,
+                 heads * n_agents + tails, heads * n_agents + heads]
+            )
+            if self.dense:
+                self.inc_t = self.d_inc.T
+                self.gather_w = self.gather[self.i_w]
+                # [y | zero direction slots | sig | 1], see without_direction
+                self._rest = np.zeros(self.out_map.shape[1])
+                self._rest[-1] = 1.0
+                self._rest_sig = self._rest[
+                    dim + 2 * n_edges * p : dim + 2 * n_edges * p + n_edges
+                ]
+                # matmul, unlike ndarray.dot, multiplies by this column slice
+                # of out_map in place instead of copying it
+                self._drift = self.out_map[:, :dim]
+            # Rows 0-3: D^j (D y + c) for the step at hand; rows 4-7: D^j a,
+            # with D the drift, c the affine column and a the input wave's
+            # amplitude (see _affine_rk4).
+            self._powers = np.zeros((8, dim))
+            if self.has_wave:
+                self._powers[4] = self.in_amp
+                for j in range(5, 8):
+                    self._linear(self._powers[j - 1], self._powers[j])
+
+    def _compile_fused(self, sc: Scenario, lap: np.ndarray):
+        """Dense form: a gather matrix for the edge quantities and one fused
+        output map, ydot = out_map @ [y | z | 1], holding the drift, the
+        scatter of the edge quantities z and the affine column."""
+        plant, gains = sc.plant, sc.gains
+        n_agents, n, p, n_edges, dim = self.n_agents, self.n, self.p, self.n_edges, self.dim
+        k_mat = gains.k_mat
+        tails, heads = self.tails, self.heads
 
         # Agent-by-edge scatter matrices (D = Dp - Dm is the incidence).
         d_plus = np.zeros((n_agents, n_edges))
         d_minus = np.zeros((n_agents, n_edges))
-        for e in range(n_edges):
-            d_plus[tails[e], e] = 1.0
-            d_minus[heads[e], e] = 1.0
+        d_plus[tails, np.arange(n_edges)] = 1.0
+        d_minus[heads, np.arange(n_edges)] = 1.0
         d_inc = d_plus - d_minus
         self.d_plus, self.d_minus, self.d_inc = d_plus, d_minus, d_inc
 
         # Gather matrix: one matmul yields edge direction inputs w = K(x_i - x_j),
         # clock differences, and (adaptive only) raw state differences.
-        lap = d_inc @ d_inc.T  # degree-minus-adjacency; orientation cancels
         kd = np.kron(d_inc.T, k_mat)  # (E*p, N*n), acts on stacked x
         rows = [np.hstack([kd, kd, np.zeros((n_edges * p, dim - 2 * n_agents * n))])]
         clk_rows = np.zeros((n_edges, dim))
         clk_rows[:, self.sl_c] = d_inc.T
         rows.append(clk_rows)
-        self.adaptive = sc.controller == "adaptive"
         if self.adaptive:
             dx = np.kron(d_inc.T, np.eye(n))
             rows.append(
                 np.hstack([dx, dx, np.zeros((n_edges * n, dim - 2 * n_agents * n))])
             )
-        self.gather = np.vstack(rows) if rows else np.zeros((0, dim))
+        self.gather = np.vstack(rows)
         self.i_w = slice(0, n_edges * p)
         self.i_clk = slice(n_edges * p, n_edges * p + n_edges)
         self.i_dx = slice(self.i_clk.stop, self.i_clk.stop + n_edges * n)
 
-        # One fused output map, ydot = out_map @ [y | z | 1], filled in place:
-        # the constant drift, the scatter of the edge quantities z and the
-        # affine column.
         n_z = 2 * n_edges * p + (3 if self.adaptive else 1) * n_edges
         out_map = np.zeros((dim, dim + n_z + 1))
 
@@ -243,100 +335,132 @@ class _Dynamics:
         sb = np.kron(np.eye(n_agents), plant.b)  # stacked-input map (N*n, N*p)
         scatter_tail = sb @ np.kron(d_plus, np.eye(p))
         scatter_head = sb @ np.kron(d_minus, np.eye(p))
-        sigma = -1.0 if sc.clock_convention == ATTRACTING else 1.0
         gain = 1.0 if self.adaptive else gains.c2
         col = dim
         for mat, sign in ((scatter_tail, gain), (scatter_head, -gain)):
             out_map[self.sl_s, col : col + n_edges * p] = sign * mat
             col += n_edges * p
-        out_map[self.sl_c, col : col + n_edges] = sigma * d_inc
+        out_map[self.sl_c, col : col + n_edges] = self.sigma * d_inc
         col += n_edges
         if self.adaptive:
             edge_ids = np.arange(n_edges)
             out_map[self.sl_a.start + edge_ids, col + edge_ids] = sc.adapt.mu
             out_map[self.sl_b.start + edge_ids, col + n_edges + edge_ids] = sc.adapt.nu
 
-        # Clock base rate plus any constant reference input, folded into one
-        # affine column applied through a trailing 1 in the stacked vector.
-        const = out_map[:, -1]
-        const[self.sl_c] = 1.0
-
-        # Reference inputs: r-rows get (I kron B) f(t). When every agent
-        # shares one frequency and phase this reduces to a fixed offset
-        # (folded into the affine column) plus one sine-scaled vector;
-        # otherwise the full family is evaluated per call.
-        offset, amp, omega, phase = sc.family.evaluation_terms()
-        self.uniform_wave = bool(np.all(omega == omega[0]) and np.all(phase == phase[0]))
-        self.family = sc.family
         self.sb = sb
-        if self.uniform_wave:
-            const[self.sl_r] += sb @ offset.ravel()
-            self.wave_omega = float(omega[0])
-            self.wave_phase = float(phase[0])
-            self.in_amp = np.zeros(dim)
-            self.in_amp[self.sl_r] = sb @ amp.ravel()
-
         self.out_map = out_map
+        self.const = out_map[:, -1]
         self._one = np.ones(1)
 
-        self.single_channel = p == 1
-        self.has_wave = self.uniform_wave and (self.wave_omega != 0.0 or self.wave_phase != 0.0)
-        self._no_sig = np.zeros(n_edges)
+    def _compile_edges(self, sc: Scenario):
+        """Edge-indexed form: index arrays and the per-agent matrices, no
+        matrix of the state's size."""
+        n_agents, p = self.n_agents, self.p
+        self.a_t = sc.plant.a.T
+        self.b_t = sc.plant.b.T
+        # bincount bins of every edge's tail and head entries, then the same
+        # per input channel
+        self._ends = np.concatenate((self.tails, self.heads))
+        self._ends_p = (self._ends[:, None] * p + np.arange(p)).ravel()
+        self.const = np.zeros(self.dim)
 
-        # The c2-weighted direction term of the static and modified laws
-        # linearises at w = 0 to (c2 / delta) (L kron B K), delta the layer
-        # eps e^{-phi t}; its spectral radius is stiffness / delta, and for
-        # K = -B^T P, rho(K B) = lambda_max(B^T P B).
-        self.stiffness = 0.0
-        if sc.controller != "adaptive" and not sc.discontinuous and n_edges:
-            self.kb = k_mat @ plant.b
-            self.stiffness = float(
-                gains.c2
-                * np.linalg.eigvalsh(lap)[-1]
-                * np.max(np.abs(np.linalg.eigvals(self.kb)))
-            )
-            self.inc_t = d_inc.T
-            self.gather_w = self.gather[self.i_w]
-            self._eye = np.eye(n_agents * p)
-            # flat indices of the (t,t), (t,h), (h,t), (h,h) entries of W D^T
-            self.pair_index = np.concatenate(
-                [tails * n_agents + tails, tails * n_agents + heads,
-                 heads * n_agents + tails, heads * n_agents + heads]
-            )
-            # [y | zero direction slots | sig | 1], see without_direction
-            self._rest = np.zeros(self.out_map.shape[1])
-            self._rest[-1] = 1.0
-            self._rest_sig = self._rest[dim + 2 * n_edges * p : dim + 2 * n_edges * p + n_edges]
-            # Rows 0-3: D^j (D y + c) for the step at hand; rows 4-7: D^j a,
-            # with D the drift, c the affine column and a the input wave's
-            # amplitude (see _affine_rk4).
-            # matmul, unlike ndarray.dot, multiplies by this column slice of
-            # out_map in place instead of copying it
-            self._drift = out_map[:, :dim]
-            self._powers = np.zeros((8, dim))
-            if self.has_wave:
-                self._powers[4] = self.in_amp
-                for j in range(5, 8):
-                    np.matmul(self._drift, self._powers[j - 1], out=self._powers[j])
-
-    # -- edge quantities -------------------------------------------------
+    # -- operator primitives, one per form -----------------------------------
 
     def _edge_terms(self, y):
-        g = self.gather.dot(y)
-        w = g[self.i_w]
-        dclk = g[self.i_clk]
+        """Edge inputs w = K (x_tail - x_head), flat (E*p,), clock
+        differences, their norms, and (adaptive laws, or the edge form) the
+        state differences x_tail - x_head (E, n)."""
+        if self.dense:
+            g = self.gather.dot(y)
+            w = g[self.i_w]
+            dclk = g[self.i_clk]
+            dx = g[self.i_dx].reshape(self.n_edges, self.n) if self.adaptive else None
+        else:
+            dx = self._state_differences(y)
+            w = (dx @ self.k_t).ravel()
+            clk = y[self.sl_c]
+            dclk = clk[self.tails] - clk[self.heads]
         if self.single_channel:
             nrm = np.abs(w)
         else:
             w2 = w.reshape(self.n_edges, self.p)
             nrm = np.sqrt((w2 * w2).sum(axis=1))
-        return g, w, dclk, nrm
+        return w, dclk, nrm, dx
+
+    def _gather_w(self, y):
+        """The edge inputs w = K (x_tail - x_head) alone, flat (E*p,)."""
+        if self.dense:
+            return self.gather_w.dot(y)
+        return (self._state_differences(y) @ self.k_t).ravel()
+
+    def _state_differences(self, y):
+        """Edge form: x_tail - x_head per edge, (E, n)."""
+        x = (y[self.sl_s] + y[self.sl_r]).reshape(self.n_agents, self.n)
+        return x[self.tails] - x[self.heads]
+
+    def _scatter(self, tail, head):
+        """Dp tail - Dm head: per-edge rows (E,) or (E, p) summed into the
+        tail and head agents, (N,) or (N, p)."""
+        if self.dense:
+            if head is tail:
+                return self.d_inc.dot(tail)
+            out = self.d_plus.dot(tail)
+            out -= self.d_minus.dot(head)
+            return out
+        if tail.ndim == 1:
+            bins, shape = self._ends, (self.n_agents,)
+        else:
+            bins, shape = self._ends_p, (self.n_agents, self.p)
+        weights = np.concatenate((tail.ravel(), -head.ravel()))
+        return np.bincount(bins, weights, math.prod(shape)).reshape(shape)
+
+    def _apply_b(self, f):
+        """(I kron B) applied to stacked inputs f (N, p) or (N*p,), flat."""
+        if self.dense:
+            return self.sb.dot(f.ravel())
+        return (f.reshape(self.n_agents, self.p) @ self.b_t).ravel()
+
+    def _linear(self, v, out):
+        """out = D v, D the drift of the static and modified laws (the plant
+        on s and r and the law's linear feedback through B)."""
+        if self.dense:
+            np.matmul(self._drift, v, out=out)
+            return out
+        w2 = None
+        if self.controller == "static":
+            w2 = self._gather_w(v).reshape(self.n_edges, self.p)
+        return self._assemble(v, self._feedback(v, w2), out)
+
+    def _affine(self, y, out):
+        """out = D y + c, c the affine column, with the direction slots zero
+        and, in the fused form, the clock coupling slots as set in _rest."""
+        if self.dense:
+            z = self._rest
+            z[: self.dim] = y
+            self.out_map.dot(z, out=out)
+            return out
+        self._linear(y, out)
+        out += self.const
+        return out
+
+    def _assemble(self, y, u, out):
+        """Edge form: out = [A s + B u | A r | 0], u the stacked controls."""
+        n_agents, n = self.n_agents, self.n
+        s = y[self.sl_s].reshape(n_agents, n)
+        r = y[self.sl_r].reshape(n_agents, n)
+        out[self.sl_s] = (s @ self.a_t + u @ self.b_t).ravel()
+        out[self.sl_r] = (r @ self.a_t).ravel()
+        out[self.sl_c.start :] = 0.0
+        return out
+
+    # -- edge quantities -------------------------------------------------
 
     def _direction_coeffs(self, y, nrm, synced):
         """Per-edge reciprocal denominators at the tail and head clocks;
         synced says both ends of every edge read the same time, so the two
-        are one array."""
-        if self.discontinuous:
+        are one array. The discontinuous direction and a zero layer
+        (eps = 0), its limit, take 1/||w||, set to zero where w = 0."""
+        if self.discontinuous or self.eps == 0.0:
             inv = np.divide(1.0, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
             return inv, inv
         lay = self.eps * np.exp(-self.phi * y[self.sl_c])
@@ -362,26 +486,58 @@ class _Dynamics:
         if self.has_wave:
             ydot += self.in_amp * math.sin(self.wave_omega * t + self.wave_phase)
         elif not self.uniform_wave:
-            ydot[self.sl_r] += self.sb @ self.family.value_all(t).ravel()
+            ydot[self.sl_r] += self._apply_b(self.family.value_all(t))
         return ydot
+
+    def _feedback(self, y, w2):
+        """The law's linear feedback: c1 D w on the static law's edge inputs
+        w2 (E, p), K x_i on the modified law's states."""
+        if self.controller == "static":
+            return self.c1 * self._scatter(w2, w2)
+        x = (y[self.sl_s] + y[self.sl_r]).reshape(self.n_agents, self.n)
+        return x @ self.k_t
+
+    def _control(self, y, w2, dir_t, dir_h):
+        """Stacked controls u (N, p) from the edge inputs w2 (E, p) and the
+        direction terms at the tail and head clocks."""
+        if self.adaptive:
+            alpha, beta = y[self.sl_a, None], y[self.sl_b, None]
+            return self._scatter(alpha * w2 + beta * dir_t, alpha * w2 + beta * dir_h)
+        u = self.c2 * self._scatter(dir_t, dir_h)
+        u += self._feedback(y, w2)
+        return u
 
     # -- derivative and controls -----------------------------------------
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        g, w, dclk, nrm = self._edge_terms(y)
+        w, dclk, nrm, dx = self._edge_terms(y)
         synced = not np.count_nonzero(dclk)
         inv_t, inv_h = self._direction_coeffs(y, nrm, synced)
+        sig = self._clock_coupling(dclk, synced)
+        if self.adaptive:
+            quad = ((dx @ self.gamma_mat) * dx).sum(axis=1)
+            source = nrm if self.discontinuous else nrm * nrm * inv_t
+
+        if not self.dense:
+            w2 = w.reshape(self.n_edges, self.p)
+            dir_t = w2 * inv_t[:, None]
+            dir_h = dir_t if inv_h is inv_t else w2 * inv_h[:, None]
+            ydot = self._assemble(y, self._control(y, w2, dir_t, dir_h), np.empty(self.dim))
+            ydot += self.const
+            if not synced:
+                ydot[self.sl_c] += self.sigma * self._scatter(sig, sig)
+            if self.adaptive:
+                adapt = self.adapt
+                ydot[self.sl_a] = adapt.mu * (quad - adapt.theta * y[self.sl_a])
+                ydot[self.sl_b] = adapt.nu * (source - adapt.chi * y[self.sl_b])
+            return self._add_inputs(t, ydot)
+
         dir_t = w * self._edge_scale(inv_t)
         dir_h = dir_t if inv_h is inv_t else w * self._edge_scale(inv_h)
-        sig = self._clock_coupling(dclk, synced)
-
         if self.adaptive:
             alpha, beta = y[self.sl_a], y[self.sl_b]
             a_scale = self._edge_scale(alpha)
             b_scale = self._edge_scale(beta)
-            dx = g[self.i_dx].reshape(self.n_edges, self.n)
-            quad = ((dx @ self.gamma_mat) * dx).sum(axis=1)
-            source = nrm if self.discontinuous else nrm * nrm * inv_t
             stacked = np.concatenate(
                 [
                     y,
@@ -415,12 +571,18 @@ class _Dynamics:
         """Derivative at (t, y) less the c2-weighted direction term. With
         couple_clocks False the clock coupling is left at zero, which is
         exact while all clocks are equal."""
-        z = self._rest
-        z[: self.dim] = y
+        if self.dense:
+            if couple_clocks:
+                dclk = self.inc_t.dot(y[self.sl_c])
+                self._rest_sig[:] = self._clock_coupling(dclk, not np.count_nonzero(dclk))
+            return self._add_inputs(t, self._affine(y, np.empty(self.dim)))
+        ydot = self._affine(y, np.empty(self.dim))
         if couple_clocks:
-            dclk = self.inc_t.dot(y[self.sl_c])
-            self._rest_sig[:] = self._clock_coupling(dclk, not np.count_nonzero(dclk))
-        return self._add_inputs(t, self.out_map.dot(z))
+            clk = y[self.sl_c]
+            dclk = clk[self.tails] - clk[self.heads]
+            sig = self._clock_coupling(dclk, not np.count_nonzero(dclk))
+            ydot[self.sl_c] += self.sigma * self._scatter(sig, sig)
+        return self._add_inputs(t, ydot)
 
     def _affine_rk4(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         """The RK4 step of without_direction from (t, y) when the clocks are
@@ -436,11 +598,9 @@ class _Dynamics:
         products with D in place of four stage evaluations.
         """
         powers = self._powers
-        z = self._rest
-        z[: self.dim] = y
-        self.out_map.dot(z, out=powers[0])
+        self._affine(y, powers[0])
         for j in range(1, 4):
-            np.matmul(self._drift, powers[j - 1], out=powers[j])
+            self._linear(powers[j - 1], powers[j])
         h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
         s0 = sm = s1 = 0.0
         if self.has_wave:
@@ -478,10 +638,10 @@ class _Dynamics:
         equal clocks it is symmetric positive definite.
         """
         n_agents, p, n_edges = self.n_agents, self.p, self.n_edges
-        _, _, dclk, nrm = self._edge_terms(y)
+        _, dclk, nrm, _ = self._edge_terms(y)
         synced = not np.count_nonzero(dclk)
         inv_t, inv_h = self._direction_coeffs(y, nrm, synced)
-        if synced:
+        if synced and self.dense:
             # with no coupling every clock rate is exactly 1, so equal
             # clocks stay equal through every RK4 stage
             self._rest_sig[:] = 0.0
@@ -495,39 +655,28 @@ class _Dynamics:
         node = np.bincount(
             self.pair_index, np.concatenate((f_t, -f_t, -f_h, f_h)), n_agents * n_agents
         ).reshape(n_agents, n_agents)
+        # I - node kron (K B), built in place: at N = 200, fresh (N p)^2
+        # temporaries, page-faulted in anew each step, cost 17 times the
+        # arithmetic
         if self.single_channel:
-            lhs = self._eye - self.kb[0, 0] * node
+            lhs = node
+            lhs *= -self.kb[0, 0]
         else:
-            lhs = self._eye - np.kron(node, self.kb)
-        w = self.gather_w.dot(y_next)
+            lhs = np.kron(node, -self.kb)
+        lhs += self._eye
+        w = self._gather_w(y_next)
         tail = (self._edge_scale(f_t) * w).reshape(n_edges, p)
-        if synced:  # W = D diag(f)
-            rhs = self.d_inc.dot(tail)
-        else:
-            rhs = self.d_plus.dot(tail)
-            rhs -= self.d_minus.dot((self._edge_scale(f_h) * w).reshape(n_edges, p))
-        y_next[self.sl_s] += self.sb.dot(np.linalg.solve(lhs, rhs.ravel()))
+        head = tail if synced else (self._edge_scale(f_h) * w).reshape(n_edges, p)
+        rhs = self._scatter(tail, head)
+        y_next[self.sl_s] += self._apply_b(np.linalg.solve(lhs, rhs.ravel()))
         return y_next
 
     def controls(self, t: float, y: np.ndarray) -> np.ndarray:
         """Stacked control inputs u (N, p) at the given state."""
-        _, w, dclk, nrm = self._edge_terms(y)
+        w, dclk, nrm, _ = self._edge_terms(y)
         inv_t, inv_h = self._direction_coeffs(y, nrm, not np.count_nonzero(dclk))
         w2 = w.reshape(self.n_edges, self.p)
-        dir_t = w2 * inv_t[:, None]
-        dir_h = w2 * inv_h[:, None]
-        if self.adaptive:
-            alpha, beta = y[self.sl_a], y[self.sl_b]
-            u = self.d_plus @ (alpha[:, None] * w2 + beta[:, None] * dir_t)
-            u -= self.d_minus @ (alpha[:, None] * w2 + beta[:, None] * dir_h)
-            return u
-        u = self.c2 * (self.d_plus @ dir_t - self.d_minus @ dir_h)
-        if self.controller == "static":
-            u += self.c1 * (self.d_inc @ w2)
-        else:  # modified: absolute-state feedback
-            x = (y[self.sl_s] + y[self.sl_r]).reshape(self.n_agents, self.n)
-            u += x @ self.k_t
-        return u
+        return self._control(y, w2, w2 * inv_t[:, None], w2 * inv_h[:, None])
 
     # -- state packing -----------------------------------------------------
 

@@ -2,8 +2,11 @@
 stabilizability test, and the continuous algebraic Riccati equation solver
 used by the gain design.
 
-Everything here is a pure function of its inputs and sized for small dense
-problems (n up to a few tens).
+Everything here is a pure function of its inputs. The symmetric
+eigendecomposition is LAPACK's (np.linalg.eigh), so it also serves the
+graph Laplacian at a thousand vertices and more; the Lyapunov and Riccati
+solvers work on the plant's n x n matrices through dense n^2 x n^2
+systems, which suits n up to a few tens.
 """
 
 from __future__ import annotations
@@ -16,11 +19,6 @@ from .errors import DesignError, NumericalError
 
 # Rank decisions treat singular values below RANK_RTOL * sigma_max as zero.
 RANK_RTOL = 1e-10
-
-# Cyclic Jacobi sweep cap and off-diagonal stopping threshold (relative to
-# the Frobenius norm of the input).
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFF_RTOL = 1e-12
 
 _SYMMETRY_RTOL = 1e-12
 
@@ -58,65 +56,18 @@ class Eigen:
 
 
 def sym_eigen(s) -> Eigen:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK, through
+    np.linalg.eigh), eigenvalues ascending.
 
     Raises ValueError for non-square or asymmetric input and NumericalError
-    if the off-diagonal mass has not vanished after the sweep cap.
+    if LAPACK fails to converge.
     """
     a = _require_symmetric(as_matrix(s), "sym_eigen input")
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return Eigen(values=a.diagonal().copy(), vectors=v)
-
-    threshold = _JACOBI_OFF_RTOL * max(np.linalg.norm(a), 1e-300)
-
-    def off(m):
-        o = m - np.diag(m.diagonal())
-        return np.linalg.norm(o)
-
-    converged = False
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if off(a) <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold / (n * n):
-                    continue
-                app, aqq = a[p, p], a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                sn = t * c
-                # symmetric two-sided update; exact zero in the (p, q) slot
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                new_p = c * col_p - sn * col_q
-                new_q = sn * col_p + c * col_q
-                a[:, p] = new_p
-                a[p, :] = new_p
-                a[:, q] = new_q
-                a[q, :] = new_q
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - sn * vq
-                v[:, q] = sn * vp + c * vq
-    else:
-        converged = off(a) <= threshold
-    if not converged:
-        raise NumericalError(
-            f"Jacobi eigendecomposition did not converge in {_JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    values = a.diagonal().copy()
-    order = np.argsort(values, kind="stable")
-    return Eigen(values=values[order], vectors=v[:, order])
+    try:
+        values, vectors = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"symmetric eigendecomposition failed: {exc}") from exc
+    return Eigen(values=values, vectors=vectors)
 
 
 def eigvals_general(a) -> np.ndarray:

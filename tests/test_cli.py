@@ -128,6 +128,49 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("numeric-error:")
 
+    def test_eigensolver_failure_is_three(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        path = write_config(tmp_path, tiny_config())
+        assert main(["gains", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric-error:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_stray_linear_algebra_error_is_three(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError; it must not read as a schema error
+        def singular(_):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr("avgtrack.cli.run", singular)
+        path = write_config(tmp_path, tiny_config())
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric-error:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_zero_layer_with_agreeing_agents_is_finite(self, tmp_path, capsys):
+        # eps = 0 is the signum law: an edge whose ends agree exactly has
+        # zero direction instead of 0/0
+        doc = tiny_config(
+            plant={"A": [[0.0, 1.0], [-1.0, -2.0]], "B": [[0.0], [1.0]]},
+            Q=[[1.0, 0.0], [0.0, 1.0]],
+            inputs={"type": "sinusoid", "amplitude": [1.0]},
+            eps=0,
+            phi=0.5,
+            integrator={"step": 0.001, "horizon": 0.5, "stride": 10},
+            initial={"r": [[0.3, -0.7], [0.3, -0.7]]},
+        )
+        path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (51, 1 + 2 * 2 * 3 + 2 + 1 + 2)
+        assert np.all(np.isfinite(rows))
+
 
 class TestRunCommand:
     def test_writes_trace_and_summary(self, tmp_path, capsys):

@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from avgtrack import engine
 from avgtrack.controllers import (
     GainSet,
     adaptive_control,
@@ -778,3 +782,226 @@ class TestImplicitDirectionStep:
         assert tr.clock_spread[-1] < 4.0 * sc.step**2
         above_floor = tr.clock_spread[:-1] > 1e-5
         assert np.all(np.diff(tr.clock_spread)[above_floor] <= 1e-12)
+
+
+def seeded_ring(agents, chords, seed):
+    """A ring on the given number of agents plus seeded random chords."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, (i + 1) % agents) for i in range(agents)]
+    taken = {frozenset(e) for e in edges}
+    while len(edges) < agents + chords:
+        i, j = (int(v) for v in rng.integers(0, agents, 2))
+        if i != j and frozenset((i, j)) not in taken:
+            taken.add(frozenset((i, j)))
+            edges.append((i, j))
+    return Topology(vertex_count=agents, edges=tuple(edges))
+
+
+def seeded_system(system):
+    """(plant, topology, input family, gains) on a small seeded graph: one
+    input wave with per-agent amplitudes, mixed input kinds and frequencies,
+    or a two-channel plant."""
+    rng = np.random.default_rng(23)
+    if system == "two_channels":
+        plant = Plant(a=[[0.0, 1.0], [-0.5, -1.0]], b=np.eye(2))
+        topo = seeded_ring(5, 2, seed=4)
+        fam = InputFamily(
+            specs=tuple(
+                SinusoidInput(amplitude=tuple(rng.uniform(-1.0, 1.0, 2))) for _ in range(5)
+            ),
+            input_dim=2,
+        )
+        return plant, topo, fam, design_gains(plant, topo, fam, np.eye(2), eps=1.0, phi=0.2)
+    topo = seeded_ring(8, 3, seed=2)
+    if system == "one_wave":
+        specs = tuple(SinusoidInput(amplitude=(a,)) for a in rng.uniform(0.5, 3.5, 8))
+    else:
+        specs = (
+            SinusoidInput(amplitude=(1.0,), omega=1.0, phase=0.0),
+            SinusoidInput(amplitude=(0.5,), omega=2.7, phase=0.3),
+            ConstantInput(value=(0.8,)),
+            ZeroInput(),
+            SinusoidInput(amplitude=(-1.2,), omega=0.4, phase=-1.0),
+            ConstantInput(value=(-0.25,)),
+            SinusoidInput(amplitude=(2.0,), omega=1.0, phase=0.0),
+            ZeroInput(),
+        )
+    fam = InputFamily(specs=specs, input_dim=1)
+    gains = design_gains(demo_plant(), topo, fam, DEMO_Q, eps=5.0, phi=0.5)
+    return demo_plant(), topo, fam, gains
+
+
+def seeded_scenario(controller, system="one_wave", clocks=None, **kw):
+    plant, topo, fam, gains = seeded_system(system)
+    agents, n = topo.vertex_count, plant.state_dim
+    rng = np.random.default_rng(31)
+    defaults = dict(
+        plant=plant,
+        topology=topo,
+        family=fam,
+        controller=controller,
+        gains=gains,
+        adapt=(
+            design_adaptive_params(gains, 10.0, 10.0, 0.01, 0.01)
+            if controller == "adaptive"
+            else None
+        ),
+        r0=rng.uniform(-1.0, 1.0, (agents, n)),
+        s0=rng.uniform(-0.5, 0.5, (agents, n)) if controller == "modified" else None,
+        clocks0=np.zeros(agents) if clocks is None else clocks,
+        step=1e-3,
+        horizon=0.5,
+        sample_every=10,
+    )
+    defaults.update(kw)
+    return Scenario(**defaults)
+
+
+@pytest.fixture
+def edge_form(monkeypatch):
+    """Compile every scenario to the edge-indexed operators, whatever its
+    state dimension."""
+    monkeypatch.setattr(engine, "DENSE_MAX_DIM", 0)
+
+
+class TestEdgeIndexedOperators:
+    """Above DENSE_MAX_DIM the right-hand side gathers and scatters through
+    the edge index arrays instead of the fused map. These tests force that
+    form on small seeded graphs by lowering the module's size constant."""
+
+    @pytest.mark.parametrize("clocks", ["equal", "unequal"])
+    @pytest.mark.parametrize("layer", ["resolved", "unresolved"])
+    @pytest.mark.parametrize("system", ["one_wave", "mixed_inputs", "two_channels"])
+    @pytest.mark.parametrize("controller", ["static", "modified", "adaptive"])
+    def test_matches_fused_map(self, monkeypatch, controller, system, layer, clocks):
+        agents = seeded_system(system)[1].vertex_count
+        rng = np.random.default_rng(37)
+        times = np.full(agents, 0.0 if layer == "resolved" else 40.0)
+        if clocks == "unequal":
+            times += rng.uniform(0.0, 0.3, agents)
+        sc = seeded_scenario(controller, system, clocks=times)
+        start = sc.initial_state()
+        state = SimState(
+            s=start.s + rng.uniform(-0.2, 0.2, start.s.shape) * (controller == "modified"),
+            r=start.r,
+            clocks=start.clocks,
+            alpha=rng.uniform(0.0, 2.0, start.alpha.shape),
+            beta=rng.uniform(0.0, 2.0, start.beta.shape),
+        )
+        results = {}
+        for dense in (True, False):
+            monkeypatch.setattr(engine, "DENSE_MAX_DIM", sys.maxsize if dense else 0)
+            dyn = _Dynamics(sc)
+            assert dyn.dense is dense
+            y = dyn.pack(state)
+            if controller != "adaptive":
+                assert dyn.layer_unresolved(y, sc.step) is (layer == "unresolved")
+            step = dyn.pack(step_rk4(state, sc, sc.step, t=0.7))
+            results[dense] = (dyn(0.7, y), dyn.controls(0.7, y), step)
+        for fused, edge in zip(results[True], results[False]):
+            assert np.max(np.abs(edge - fused)) <= 1e-12 * np.max(np.abs(fused))
+
+    @pytest.mark.parametrize("clock", [0.0, 40.0])
+    @pytest.mark.parametrize("controller", ["static", "modified", "adaptive"])
+    def test_identical_agents_stay_identical(self, edge_form, controller, clock):
+        topo = seeded_ring(5, 2, seed=8)
+        fam = InputFamily(specs=(SinusoidInput(amplitude=(1.5,)),) * 5, input_dim=1)
+        gains = design_gains(demo_plant(), topo, fam, DEMO_Q, eps=5.0, phi=0.5)
+        sc = Scenario(
+            plant=demo_plant(),
+            topology=topo,
+            family=fam,
+            controller=controller,
+            gains=gains,
+            adapt=(
+                design_adaptive_params(gains, 10.0, 10.0, 0.01, 0.01)
+                if controller == "adaptive"
+                else None
+            ),
+            r0=np.tile([0.3, -0.7], (5, 1)),
+            s0=np.tile([0.1, 0.2], (5, 1)) if controller == "modified" else None,
+            clocks0=np.full(5, clock),
+            step=1e-3,
+            horizon=0.5,
+            sample_every=10,
+        )
+        tr = run(sc)
+        assert np.all(tr.x == tr.x[:, :1])
+        assert np.all(tr.u == tr.u[:, :1])
+
+    def test_zero_layer_with_agreeing_ends_stays_finite(self, edge_form):
+        # eps = 0: edges whose ends agree take a zero direction, not 0/0
+        topo = seeded_ring(5, 2, seed=8)
+        fam = InputFamily(specs=(SinusoidInput(amplitude=(1.5,)),) * 5, input_dim=1)
+        gains = design_gains(demo_plant(), topo, fam, DEMO_Q, eps=0.0, phi=0.5)
+        sc = Scenario(
+            plant=demo_plant(),
+            topology=topo,
+            family=fam,
+            controller="static",
+            gains=gains,
+            r0=np.tile([0.3, -0.7], (5, 1)),
+            step=1e-3,
+            horizon=0.1,
+            sample_every=10,
+        )
+        tr = run(sc)
+        assert np.all(np.isfinite(tr.x))
+        assert np.all(tr.u == 0.0)
+
+    def test_bitwise_deterministic(self, edge_form):
+        for sc in (
+            seeded_scenario("static", clocks=np.full(8, 20.0) + np.linspace(0.0, 0.2, 8)),
+            seeded_scenario("adaptive", "mixed_inputs"),
+        ):
+            t1, t2 = run(sc), run(sc)
+            for name in ("times", "s", "r", "clocks", "alpha", "beta", "u", "xi", "v1"):
+                assert np.array_equal(getattr(t1, name), getattr(t2, name))
+
+    @pytest.mark.parametrize(
+        "controller, clock", [("static", 0.0), ("static", 20.0), ("adaptive", 0.0)]
+    )
+    def test_average_conservation(self, edge_form, controller, clock):
+        # criterion 3: max over the trace of |sum_i x_i - sum_i r_i| <= 1e-6
+        sc = seeded_scenario(controller, clocks=np.full(8, clock), horizon=2.0)
+        assert not _Dynamics(sc).dense
+        tr = run(sc)
+        mismatch = np.linalg.norm(tr.x.sum(axis=1) - tr.r.sum(axis=1), axis=1)
+        assert mismatch.max() <= 1e-6
+
+
+class TestScaling:
+    def test_thousand_agent_static_design_and_run(self):
+        # The fused map would hold (8000 x 11001) doubles, about 0.7 GB.
+        agents = 1000
+        topo = seeded_ring(agents, agents // 2, seed=1)
+        rng = np.random.default_rng(1)
+        fam = InputFamily(
+            specs=tuple(SinusoidInput(amplitude=(a,)) for a in rng.uniform(0.5, 3.5, agents)),
+            input_dim=1,
+        )
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            gains = design_gains(demo_plant(), topo, fam, DEMO_Q, eps=5.0, phi=0.5)
+            sc = Scenario(
+                plant=demo_plant(),
+                topology=topo,
+                family=fam,
+                controller="static",
+                gains=gains,
+                r0=rng.uniform(-1.0, 1.0, (agents, 2)),
+                step=1e-3,
+                horizon=1e-2,
+                sample_every=1,
+            )
+            tr = run(sc)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.sample_count == 11
+        assert np.all(np.isfinite(tr.x))
+        assert np.abs(tr.s.sum(axis=1)).max() <= 1e-6
+        assert peak < 150e6
+        assert elapsed < 30.0

@@ -144,6 +144,12 @@ class TestLambda2:
             quotients = ((samples @ lap) * samples).sum(axis=1)[keep] / norms[keep]
             assert np.all(quotients >= lam - 1e-9)
 
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_large_ring_closed_form(self, n):
+        ring = Topology(vertex_count=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
+        expected = 2.0 - 2.0 * np.cos(2.0 * np.pi / n)
+        assert abs(lambda2(ring) - expected) <= 1e-10 * expected
+
 
 class TestCenteringMatrix:
     def test_degenerate(self):
