@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -340,13 +341,9 @@ def gain_report(bundle: ScenarioBundle) -> dict:
     return report
 
 
-def _fmt(value: float) -> str:
-    return f"{float(value):.17g}"
-
-
 def write_trace_csv(trace: Trace, path: Path):
     """CSV schema: t, x_<i>_<k>, r_<i>_<k>, xi_<i>_<k>, u_<i>_<k>, V1
-    [, V2, alpha_<e>, beta_<e>], clock_<i>."""
+    [, V2, alpha_<e>, beta_<e>], clock_<i>; every value printed as %.17g."""
     sc = trace.scenario
     n_agents = sc.topology.vertex_count
     n = sc.plant.state_dim
@@ -358,25 +355,19 @@ def write_trace_csv(trace: Trace, path: Path):
         header += [f"{tag}_{i}_{k}" for i in range(n_agents) for k in range(dim)]
     header += [f"u_{i}_{k}" for i in range(n_agents) for k in range(p)]
     header.append("V1")
+    columns = [trace.times, trace.x, trace.r, trace.xi, trace.u, trace.v1]
     if adaptive:
         header.append("V2")
         header += [f"alpha_{e}" for e in range(sc.topology.edge_count)]
         header += [f"beta_{e}" for e in range(sc.topology.edge_count)]
+        columns += [trace.v2, trace.alpha, trace.beta]
     header += [f"clock_{i}" for i in range(n_agents)]
+    columns.append(trace.clocks)
 
-    x = trace.x
+    table = np.hstack([col.reshape(trace.sample_count, -1) for col in columns])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(trace.sample_count):
-            row = [trace.times[k]]
-            row += list(x[k].ravel()) + list(trace.r[k].ravel()) + list(trace.xi[k].ravel())
-            row += list(trace.u[k].ravel())
-            row.append(trace.v1[k])
-            if adaptive:
-                row.append(trace.v2[k])
-                row += list(trace.alpha[k]) + list(trace.beta[k])
-            row += list(trace.clocks[k])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
 
 
 def summarize(trace: Trace, gains, adapt, bundle: ScenarioBundle, sync_info=None) -> dict:
@@ -422,15 +413,26 @@ def cmd_gains(config_path, out_dir=None) -> int:
     return 0
 
 
+@contextmanager
+def _stored(key: str, what: str):
+    """Turns a MemoryError storing what, set by config key, into a ConfigError."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"{key}: {what} do not fit in memory") from exc
+
+
 def _sync_pre_phase(bundle: ScenarioBundle):
     """Run the clock-sync phase; returns (clocks0 for tracking, info dict)."""
-    result = run_sync(
-        bundle.topology,
-        bundle.sync_offsets,
-        convention=bundle.sync_convention,
-        tol=bundle.sync_tol,
-        step=bundle.sync_step,
-    )
+    spread = np.ptp(bundle.sync_offsets)
+    with _stored("clock_sync.initial_offsets", f"the sync steps for a spread of {spread:g}"):
+        result = run_sync(
+            bundle.topology,
+            bundle.sync_offsets,
+            convention=bundle.sync_convention,
+            tol=bundle.sync_tol,
+            step=bundle.sync_step,
+        )
     info = {
         "settled_at": result.settled_at,
         "final_spread": float(result.spreads[-1]),
@@ -453,7 +455,9 @@ def cmd_run(config_path, horizon=None, step=None, out_dir=None) -> int:
     if bundle.sync_enabled:
         clocks0, sync_info = _sync_pre_phase(bundle)
     scenario = bundle.scenario(gains, adapt, horizon=horizon, step=step, clocks0=clocks0)
-    trace = run(scenario)
+    samples = scenario.steps // scenario.sample_every + 1
+    with _stored("integrator.horizon", f"{samples} trace samples"):
+        trace = run(scenario)
 
     out = Path(out_dir) if out_dir is not None else bundle.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -477,7 +481,9 @@ def cmd_compare(config_path, out_dir=None) -> int:
     traces = {}
     for label, discontinuous in (("continuous", False), ("discontinuous", True)):
         scenario = bundle.scenario(gains, adapt, discontinuous=discontinuous, clocks0=clocks0)
-        traces[label] = run(scenario)
+        samples = scenario.steps // scenario.sample_every + 1
+        with _stored("integrator.horizon", f"{samples} trace samples"):
+            traces[label] = run(scenario)
 
     out = Path(out_dir) if out_dir is not None else bundle.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -7,6 +7,12 @@ is retained as an option purely to demonstrate that offsets then grow.
 The square-root term is not Lipschitz at zero, so a dead band treats
 offsets below 1e-12 as already synchronized to avoid limit cycling on the
 synchronized manifold.
+
+clock_law is the one production form of the law: the sync pre-phase steps
+it through matkernel.rk4, and the simulation engine takes the clock rows of
+its right-hand side from it (or, in its fused map, the per-edge coupling
+term edge_coupling). clock_rates is a per-edge loop over the same formula,
+kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Topology
+from .matkernel import rk4
 
 ATTRACTING = "attracting"
 PAPER_LITERAL = "paper_literal"
@@ -70,10 +77,18 @@ def clock_rates(state: ClockState, topology: Topology) -> np.ndarray:
     return rates
 
 
-def _rates_vectorized(times, tails, heads, sigma, scatter):
-    diff = times[tails] - times[heads]
-    coupling = np.where(np.abs(diff) < DEAD_BAND, 0.0, np.sign(diff) * np.sqrt(np.abs(diff)))
-    return 1.0 + sigma * (scatter @ coupling)
+def edge_coupling(diff: np.ndarray) -> np.ndarray:
+    """sig_half of clock differences t_i - t_j, zero inside the dead band."""
+    mag = np.abs(diff)
+    return np.where(mag < DEAD_BAND, 0.0, np.copysign(np.sqrt(mag), diff))
+
+
+def clock_law(t: float, clocks: np.ndarray, sigma: float, sources, targets) -> np.ndarray:
+    """dt_i/dt = 1 + sigma * sum_{j in N_i} sig_half(t_i - t_j), summed with
+    bincount over the arcs i -> j of Topology.arcs(). The law is autonomous:
+    t is there so that rk4 steps it as it is."""
+    coupling = edge_coupling(clocks[sources] - clocks[targets])
+    return 1.0 + sigma * np.bincount(sources, coupling, clocks.shape[0])
 
 
 @dataclass(frozen=True)
@@ -100,10 +115,11 @@ def run_sync(
 ) -> SyncResult:
     """Integrate the clock dynamics until the spread settles below tol.
 
-    Classical fourth-order steps at the given size; the horizon defaults to
-    a generous multiple of the worst-offset settling estimate. Returns the
-    full trajectory so settling can be audited; ``settled_at`` is None when
-    the spread never stayed below tol (e.g. the literal-plus convention).
+    Classical fourth-order steps of clock_law at the given size; the
+    horizon defaults to a generous multiple of the worst-offset settling
+    estimate. Returns the full trajectory so settling can be audited;
+    ``settled_at`` is None when the spread never stayed below tol (e.g. the
+    literal-plus convention).
 
     The discrete dynamics park on a residual limit cycle of spread roughly
     2 * step^2 around the synchronized manifold, so the step must satisfy
@@ -126,27 +142,16 @@ def run_sync(
         horizon = max(1.0, 4.0 * np.sqrt(max(state.spread, tol)))
 
     sigma = -1.0 if convention == ATTRACTING else 1.0
-    tails = np.array([e[0] for e in topology.edges], dtype=int)
-    heads = np.array([e[1] for e in topology.edges], dtype=int)
-    scatter = np.zeros((n, len(topology.edges)))
-    for e, (i, j) in enumerate(topology.edges):
-        scatter[i, e] = 1.0
-        scatter[j, e] = -1.0
+    sources, targets = topology.arcs()
 
     steps = int(round(horizon / step))
-    out_t = np.empty(steps + 1)
     out_c = np.empty((steps + 1, n))
-    out_t[0] = 0.0
     out_c[0] = times0
     clk = times0.copy()
     for k in range(steps):
-        k1 = _rates_vectorized(clk, tails, heads, sigma, scatter)
-        k2 = _rates_vectorized(clk + 0.5 * step * k1, tails, heads, sigma, scatter)
-        k3 = _rates_vectorized(clk + 0.5 * step * k2, tails, heads, sigma, scatter)
-        k4 = _rates_vectorized(clk + step * k3, tails, heads, sigma, scatter)
-        clk = clk + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out_t[k + 1] = (k + 1) * step
+        clk = rk4(clock_law, k * step, clk, step, sigma, sources, targets)
         out_c[k + 1] = clk
+    out_t = np.arange(steps + 1) * step
 
     settled = settling_time(out_t, out_c.max(axis=1) - out_c.min(axis=1), tol)
     return SyncResult(times=out_t, clocks=out_c, settled_at=settled, final=clk)

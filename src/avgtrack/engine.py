@@ -19,10 +19,13 @@ the edge differences x_tail - x_head through index arrays, K, A and B act
 as small per-agent matmuls, and the edge terms are summed back into the
 agents with bincount, so cost and memory grow with N + E. Both forms
 evaluate the same formulas, and the same compiled object reproduces the
-per-agent control values for trace samples.
+per-agent control values for trace samples. The clock rows are the clock
+law of the sync pre-phase, clocksync.clock_law; the fused map scatters its
+per-edge term, clocksync.edge_coupling.
 
-Each step is classical fourth-order Runge-Kutta while the step resolves
-the boundary layer eps e^{-phi t} of the static and modified laws. Their
+Each step is classical fourth-order Runge-Kutta (matkernel.rk4, as in the
+sync pre-phase) while the step resolves the boundary layer eps e^{-phi t}
+of the static and modified laws. Their
 c2-weighted direction term c2 w / (||w|| + eps e^{-phi t}) grows stiff as
 the layer thins, and once the step leaves RK4's stability interval the
 sampled trajectory would chatter on a band proportional to the step. From
@@ -39,11 +42,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocksync import ATTRACTING, DEAD_BAND, PAPER_LITERAL
+from .clocksync import ATTRACTING, PAPER_LITERAL, clock_law, edge_coupling
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
 from .graph import Topology, laplacian
-from .matkernel import is_hurwitz
+from .matkernel import is_hurwitz, rk4
 from .signals import InputFamily, Plant
 
 _CONTROLLERS = ("static", "modified", "adaptive")
@@ -201,9 +204,8 @@ class _Dynamics:
         self.k_t = k_mat.T
         self.sigma = -1.0 if sc.clock_convention == ATTRACTING else 1.0
 
-        tails = np.array([e[0] for e in topo.edges], dtype=int)
-        heads = np.array([e[1] for e in topo.edges], dtype=int)
-        self.tails, self.heads = tails, heads
+        self.tails, self.heads = tails, heads = topo.tails, topo.heads
+        self.arcs = topo.arcs()
         lap = laplacian(topo)
 
         self.dense = dim <= DENSE_MAX_DIM
@@ -252,14 +254,10 @@ class _Dynamics:
                  heads * n_agents + tails, heads * n_agents + heads]
             )
             if self.dense:
-                self.inc_t = self.d_inc.T
                 self.gather_w = self.gather[self.i_w]
-                # [y | zero direction slots | sig | 1], see without_direction
+                # [y | zero direction and clock coupling slots | 1], see _affine
                 self._rest = np.zeros(self.out_map.shape[1])
                 self._rest[-1] = 1.0
-                self._rest_sig = self._rest[
-                    dim + 2 * n_edges * p : dim + 2 * n_edges * p + n_edges
-                ]
                 # matmul, unlike ndarray.dot, multiplies by this column slice
                 # of out_map in place instead of copying it
                 self._drift = self.out_map[:, :dim]
@@ -360,7 +358,7 @@ class _Dynamics:
         self.b_t = sc.plant.b.T
         # bincount bins of every edge's tail and head entries, then the same
         # per input channel
-        self._ends = np.concatenate((self.tails, self.heads))
+        self._ends = self.arcs[0]
         self._ends_p = (self._ends[:, None] * p + np.arange(p)).ravel()
         self.const = np.zeros(self.dim)
 
@@ -432,8 +430,8 @@ class _Dynamics:
         return self._assemble(v, self._feedback(v, w2), out)
 
     def _affine(self, y, out):
-        """out = D y + c, c the affine column, with the direction slots zero
-        and, in the fused form, the clock coupling slots as set in _rest."""
+        """out = D y + c, c the affine column: the direction and clock
+        coupling terms are left out, so every clock row is the base rate 1."""
         if self.dense:
             z = self._rest
             z[: self.dim] = y
@@ -474,14 +472,6 @@ class _Dynamics:
             return coeff
         return np.repeat(coeff, self.p)
 
-    def _clock_coupling(self, dclk, synced):
-        """sign(d) sqrt(|d|) of the per-edge clock differences d, zero
-        inside the dead band."""
-        if synced:
-            return self._no_sig
-        mag = np.abs(dclk)
-        return np.where(mag < DEAD_BAND, 0.0, np.copysign(np.sqrt(mag), dclk))
-
     def _add_inputs(self, t, ydot):
         if self.has_wave:
             ydot += self.in_amp * math.sin(self.wave_omega * t + self.wave_phase)
@@ -513,7 +503,6 @@ class _Dynamics:
         w, dclk, nrm, dx = self._edge_terms(y)
         synced = not np.count_nonzero(dclk)
         inv_t, inv_h = self._direction_coeffs(y, nrm, synced)
-        sig = self._clock_coupling(dclk, synced)
         if self.adaptive:
             quad = ((dx @ self.gamma_mat) * dx).sum(axis=1)
             source = nrm if self.discontinuous else nrm * nrm * inv_t
@@ -525,13 +514,14 @@ class _Dynamics:
             ydot = self._assemble(y, self._control(y, w2, dir_t, dir_h), np.empty(self.dim))
             ydot += self.const
             if not synced:
-                ydot[self.sl_c] += self.sigma * self._scatter(sig, sig)
+                ydot[self.sl_c] = clock_law(t, y[self.sl_c], self.sigma, *self.arcs)
             if self.adaptive:
                 adapt = self.adapt
                 ydot[self.sl_a] = adapt.mu * (quad - adapt.theta * y[self.sl_a])
                 ydot[self.sl_b] = adapt.nu * (source - adapt.chi * y[self.sl_b])
             return self._add_inputs(t, ydot)
 
+        sig = self._no_sig if synced else edge_coupling(dclk)
         dir_t = w * self._edge_scale(inv_t)
         dir_h = dir_t if inv_h is inv_t else w * self._edge_scale(inv_h)
         if self.adaptive:
@@ -569,19 +559,11 @@ class _Dynamics:
 
     def without_direction(self, t: float, y: np.ndarray, couple_clocks: bool) -> np.ndarray:
         """Derivative at (t, y) less the c2-weighted direction term. With
-        couple_clocks False the clock coupling is left at zero, which is
+        couple_clocks False every clock runs at the base rate 1, which is
         exact while all clocks are equal."""
-        if self.dense:
-            if couple_clocks:
-                dclk = self.inc_t.dot(y[self.sl_c])
-                self._rest_sig[:] = self._clock_coupling(dclk, not np.count_nonzero(dclk))
-            return self._add_inputs(t, self._affine(y, np.empty(self.dim)))
         ydot = self._affine(y, np.empty(self.dim))
         if couple_clocks:
-            clk = y[self.sl_c]
-            dclk = clk[self.tails] - clk[self.heads]
-            sig = self._clock_coupling(dclk, not np.count_nonzero(dclk))
-            ydot[self.sl_c] += self.sigma * self._scatter(sig, sig)
+            ydot[self.sl_c] = clock_law(t, y[self.sl_c], self.sigma, *self.arcs)
         return self._add_inputs(t, ydot)
 
     def _affine_rk4(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -641,14 +623,12 @@ class _Dynamics:
         _, dclk, nrm, _ = self._edge_terms(y)
         synced = not np.count_nonzero(dclk)
         inv_t, inv_h = self._direction_coeffs(y, nrm, synced)
-        if synced and self.dense:
-            # with no coupling every clock rate is exactly 1, so equal
-            # clocks stay equal through every RK4 stage
-            self._rest_sig[:] = 0.0
+        # equal clocks run at the base rate 1 and stay equal through every
+        # RK4 stage, so they need no coupling
         if synced and self.uniform_wave:
             y_next = self._affine_rk4(t, y, dt)
         else:
-            y_next = _rk4(self.without_direction, t, y, dt, not synced)
+            y_next = rk4(self.without_direction, t, y, dt, not synced)
 
         f_t = (dt * self.c2) * inv_t
         f_h = f_t if synced else (dt * self.c2) * inv_h
@@ -744,22 +724,13 @@ class Trace:
         return self.times.shape[0]
 
 
-def _rk4(f, t: float, y: np.ndarray, dt: float, *args) -> np.ndarray:
-    half = 0.5 * dt
-    k1 = f(t, y, *args)
-    k2 = f(t + half, y + half * k1, *args)
-    k3 = f(t + half, y + half * k2, *args)
-    k4 = f(t + dt, y + dt * k3, *args)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 def _advance(dyn: _Dynamics, t: float, y: np.ndarray, dt: float) -> np.ndarray:
     """One step of the stacked system from (t, y): classical fourth-order
     Runge-Kutta while it resolves the boundary layer, and
     _Dynamics.implicit_step past that (see _Dynamics.layer_unresolved)."""
     if dyn.layer_unresolved(y, dt):
         return dyn.implicit_step(t, y, dt)
-    return _rk4(dyn, t, y, dt)
+    return rk4(dyn, t, y, dt)
 
 
 def step_rk4(state: SimState, scenario: Scenario, dt: float, t: float = 0.0) -> SimState:

@@ -2,12 +2,14 @@
 
 Edges are stored as ordered pairs purely to orient the incidence matrix
 (first element = tail, +1; second = head, -1); every derived quantity used
-by the control laws is orientation-invariant.
+by the control laws is orientation-invariant. The same orientation gives
+the edge index arrays (tails, heads) that the clock law and the simulation
+engine gather and scatter through.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,11 +22,15 @@ class Topology:
     """Communication graph on vertices 0..vertex_count-1.
 
     Invariants: no self-loops, no duplicate edges (as unordered pairs), all
-    endpoints in range.
+    endpoints in range. tails and heads are read-only integer arrays of the
+    edges' first and second endpoints, derived from edges, so equality and
+    hashing still go by the edge tuple.
     """
 
     vertex_count: int
     edges: tuple[tuple[int, int], ...]
+    tails: np.ndarray = field(init=False, repr=False, compare=False)
+    heads: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.vertex_count < 1:
@@ -40,18 +46,22 @@ class Topology:
             if key in seen:
                 raise ValueError(f"duplicate edge ({i}, {j})")
             seen.add(key)
+        for name, end in (("tails", 0), ("heads", 1)):
+            index = np.array([e[end] for e in self.edges], dtype=int)
+            index.flags.writeable = False
+            object.__setattr__(self, name, index)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(sources, targets): each edge tail to head, then head to tail."""
+        return np.concatenate((self.tails, self.heads)), np.concatenate((self.heads, self.tails))
+
     def neighbor_counts(self) -> np.ndarray:
         """|N_i| for every vertex, as an integer array."""
-        deg = np.zeros(self.vertex_count, dtype=int)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.bincount(self.arcs()[0], minlength=self.vertex_count)
 
     def neighbors(self, i: int) -> list[int]:
         out = []
@@ -66,21 +76,16 @@ class Topology:
 def incidence(t: Topology) -> np.ndarray:
     """N x E incidence matrix: +1 at each edge's tail, -1 at its head."""
     d = np.zeros((t.vertex_count, t.edge_count))
-    for e, (i, j) in enumerate(t.edges):
-        d[i, e] = 1.0
-        d[j, e] = -1.0
+    d[t.tails, np.arange(t.edge_count)] = 1.0
+    d[t.heads, np.arange(t.edge_count)] = -1.0
     return d
 
 
 def laplacian(t: Topology) -> np.ndarray:
     """Graph Laplacian: degree minus adjacency, which equals D @ D.T for the
     signed incidence matrix of a simple graph."""
-    lap = np.zeros((t.vertex_count, t.vertex_count))
-    for i, j in t.edges:
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
+    lap = np.diag(t.neighbor_counts().astype(float))
+    lap[t.tails, t.heads] = lap[t.heads, t.tails] = -1.0
     return lap
 
 

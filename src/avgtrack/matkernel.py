@@ -1,6 +1,7 @@
 """Dense real-matrix kernel: symmetric eigendecomposition, Lyapunov solves,
-stabilizability test, and the continuous algebraic Riccati equation solver
-used by the gain design.
+stabilizability test, the continuous algebraic Riccati equation solver used
+by the gain design, and the classical fourth-order Runge-Kutta step that the
+Riccati seed, the clock-sync pre-phase and the simulation engine all take.
 
 Everything here is a pure function of its inputs. The symmetric
 eigendecomposition is LAPACK's (np.linalg.eigh), so it also serves the
@@ -142,6 +143,17 @@ def pbh_rank_real(a, b, sigma_re: float, omega_im: float) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
+def rk4(f, t: float, y: np.ndarray, dt: float, *args) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of y' = f(t, y, *args)
+    from (t, y) to t + dt."""
+    half = 0.5 * dt
+    k1 = f(t, y, *args)
+    k2 = f(t + half, y + half * k1, *args)
+    k3 = f(t + half, y + half * k2, *args)
+    k4 = f(t + dt, y + dt * k3, *args)
+    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+
+
 def _care_residual(p, a, b, q) -> np.ndarray:
     return p @ a + a.T @ p - p @ b @ b.T @ p + q
 
@@ -151,7 +163,7 @@ def _dre_seed(a, b, q, max_steps: int = 20000) -> np.ndarray:
     gain stabilizes A, for use as a Newton-Kleinman starting point."""
     bbt = b @ b.T
 
-    def rhs(p):
+    def rhs(_t, p):
         return p @ a + a.T @ p - p @ bbt @ p + q
 
     scale = max(1.0, np.linalg.norm(a), np.linalg.norm(q))
@@ -160,11 +172,7 @@ def _dre_seed(a, b, q, max_steps: int = 20000) -> np.ndarray:
         p = q.copy()
         ok = True
         for step in range(max_steps):
-            k1 = rhs(p)
-            k2 = rhs(p + 0.5 * dt * k1)
-            k3 = rhs(p + 0.5 * dt * k2)
-            k4 = rhs(p + dt * k3)
-            p = p + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            p = rk4(rhs, step * dt, p, dt)
             p = 0.5 * (p + p.T)
             if not np.all(np.isfinite(p)):
                 ok = False

@@ -6,6 +6,7 @@ import pytest
 
 from avgtrack.cli import (
     ScenarioBundle,
+    _sync_pre_phase,
     load_config,
     main,
     serialize_config,
@@ -151,6 +152,26 @@ class TestExitCodes:
         assert err.startswith("numeric-error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_unstorable_clock_sync_is_one(self, tmp_path, capsys):
+        # a spread of 1e14 sets a sync horizon of 4e7 s: 4e12 stored steps
+        doc = json.loads(STATIC_CONFIG.read_text())
+        doc["clock_sync"]["initial_offsets"] = [1e14, 0, 0, 0, 0, 0]
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema-error: clock_sync.initial_offsets")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unstorable_trace_is_one(self, tmp_path, capsys):
+        doc = json.loads(STATIC_CONFIG.read_text())
+        doc["clock_sync"]["enabled"] = False
+        doc["integrator"] = {"step": 1e-3, "horizon": 1e12, "stride": 1}
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema-error: integrator.horizon")
+        assert len(err.strip().splitlines()) == 1
+
     def test_zero_layer_with_agreeing_agents_is_finite(self, tmp_path, capsys):
         # eps = 0 is the signum law: an edge whose ends agree exactly has
         # zero direction instead of 0/0
@@ -254,6 +275,17 @@ class TestRunCommand:
         assert summary["clock_sync"]["settled_at"] is not None
         assert summary["clock_sync"]["final_spread"] < 1e-9
         assert summary["max_clock_spread"] == 0.0
+
+
+class TestSyncHandOver:
+    def test_shipped_static_scenario_hands_over_pinned_clocks(self):
+        # values of the sync pre-phase as first shipped; any change to the
+        # RK4 step or to the clock law's arithmetic moves them
+        clocks0, info = _sync_pre_phase(ScenarioBundle(load_config(STATIC_CONFIG)))
+        assert info["settled_at"] == 0.20033
+        assert info["final_spread"] == 1.8884227515059138e-10
+        assert clocks0.shape == (6,)
+        assert np.all(clocks0 == 1.2016666666673315)
 
 
 class TestCompareCommand:

@@ -4,7 +4,9 @@ import pytest
 from avgtrack.clocksync import (
     ATTRACTING,
     PAPER_LITERAL,
+    DEAD_BAND,
     ClockState,
+    clock_law,
     clock_rates,
     run_sync,
     settling_time,
@@ -62,6 +64,33 @@ class TestClockRates:
             state = ClockState(times=rng.normal(size=6), convention=convention)
             rates = clock_rates(state, demo_topology())
             assert np.mean(rates) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestClockLaw:
+    @pytest.mark.parametrize("convention", [ATTRACTING, PAPER_LITERAL])
+    def test_matches_per_edge_reference(self, convention):
+        rng = np.random.default_rng(15)
+        sigma = -1.0 if convention == ATTRACTING else 1.0
+        for agents in (2, 6, 11):
+            # a path plus seeded chords of either orientation
+            edges = [(i, i + 1) for i in range(agents - 1)]
+            taken = {frozenset(e) for e in edges}
+            while len(edges) < 2 * agents - 3:
+                i, j = (int(v) for v in rng.choice(agents, 2, replace=False))
+                if frozenset((i, j)) not in taken:
+                    taken.add(frozenset((i, j)))
+                    edges.append((i, j))
+            topo = Topology(vertex_count=agents, edges=tuple(edges))
+            clocks = rng.uniform(-1.0, 1.0, agents)
+            clocks[1] = clocks[0] + 0.5 * DEAD_BAND
+            state = ClockState(times=clocks, convention=convention)
+            law = clock_law(0.0, clocks, sigma, *topo.arcs())
+            assert np.max(np.abs(law - clock_rates(state, topo))) <= 1e-14
+
+    def test_equal_clocks_run_at_exactly_one(self):
+        topo = demo_topology()
+        law = clock_law(0.0, np.full(6, 3.25), -1.0, *topo.arcs())
+        assert np.array_equal(law, np.ones(6))
 
 
 class TestRunSync:

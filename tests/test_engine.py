@@ -8,6 +8,14 @@ import numpy as np
 import pytest
 
 from avgtrack import engine
+from avgtrack.clocksync import (
+    ATTRACTING,
+    DEAD_BAND,
+    PAPER_LITERAL,
+    ClockState,
+    clock_law,
+    clock_rates,
+)
 from avgtrack.controllers import (
     GainSet,
     adaptive_control,
@@ -22,7 +30,6 @@ from avgtrack.engine import (
     SimState,
     Trace,
     _Dynamics,
-    _rk4,
     consensus_error,
     decay_check,
     lyapunov_v1,
@@ -34,6 +41,7 @@ from avgtrack.engine import (
 )
 from avgtrack.errors import DesignError, NumericalError
 from avgtrack.graph import Topology, laplacian
+from avgtrack.matkernel import rk4
 from avgtrack.signals import (
     ConstantInput,
     InputFamily,
@@ -741,7 +749,7 @@ class TestImplicitDirectionStep:
         )
         dyn = _Dynamics(sc)
         y = dyn.pack(sc.initial_state())
-        y_star = _rk4(dyn.without_direction, 0.7, y, sc.step, True)
+        y_star = rk4(dyn.without_direction, 0.7, y, sc.step, True)
         y_next = dyn.implicit_step(0.7, y, sc.step)
 
         # only s moves, and by dt c2 B times the direction term at the new
@@ -968,6 +976,65 @@ class TestEdgeIndexedOperators:
         tr = run(sc)
         mismatch = np.linalg.norm(tr.x.sum(axis=1) - tr.r.sum(axis=1), axis=1)
         assert mismatch.max() <= 1e-6
+
+
+class TestOneClockLaw:
+    """The engine's clock rows are clocksync.clock_law wherever it calls it
+    (the edge form of __call__, and without_direction on both forms), and
+    every form agrees with the per-edge reference clock_rates."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("convention", [ATTRACTING, PAPER_LITERAL])
+    @pytest.mark.parametrize("controller", ["static", "adaptive"])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_clock_rows_are_the_shared_law(self, monkeypatch, dense, controller, convention, seed):
+        monkeypatch.setattr(engine, "DENSE_MAX_DIM", sys.maxsize if dense else 0)
+        rng = np.random.default_rng(seed)
+        agents = 5 + seed
+        topo = seeded_ring(agents, seed + 1, seed=seed)
+        fam = InputFamily(
+            specs=tuple(SinusoidInput(amplitude=(a,)) for a in rng.uniform(0.5, 3.5, agents)),
+            input_dim=1,
+        )
+        gains = design_gains(demo_plant(), topo, fam, DEMO_Q, eps=5.0, phi=0.5)
+        # ring edge (0, 1) inside the dead band, (1, 2) just outside it, (2, 3)
+        # exactly equal, every other edge far outside
+        clocks = 20.0 + rng.uniform(-0.3, 0.3, agents)
+        clocks[1] = clocks[0] + 0.4 * DEAD_BAND
+        clocks[2] = clocks[1] + 3.0 * DEAD_BAND
+        clocks[3] = clocks[2]
+        sc = Scenario(
+            plant=demo_plant(),
+            topology=topo,
+            family=fam,
+            controller=controller,
+            gains=gains,
+            adapt=(
+                design_adaptive_params(gains, 10.0, 10.0, 0.01, 0.01)
+                if controller == "adaptive"
+                else None
+            ),
+            r0=rng.uniform(-1.0, 1.0, (agents, 2)),
+            clocks0=clocks,
+            clock_convention=convention,
+        )
+        dyn = _Dynamics(sc)
+        assert dyn.dense is dense
+        y = dyn.pack(sc.initial_state())
+        sigma = -1.0 if convention == ATTRACTING else 1.0
+        law = clock_law(0.7, clocks, sigma, *topo.arcs())
+        reference = clock_rates(ClockState(times=clocks, convention=convention), topo)
+        assert np.max(np.abs(law - reference)) <= 1e-14
+
+        rows = [dyn(0.7, y)[dyn.sl_c]]
+        if not dense:
+            assert np.array_equal(rows[0], law)
+        if controller == "static":
+            rows.append(dyn.without_direction(0.7, y, True)[dyn.sl_c])
+            assert np.array_equal(rows[-1], law)
+            assert np.all(dyn.without_direction(0.7, y, False)[dyn.sl_c] == 1.0)
+        for row in rows:
+            assert np.max(np.abs(row - reference)) <= 1e-14
 
 
 class TestScaling:

@@ -41,6 +41,18 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology(vertex_count=2, edges=((0, 2),))
 
+    def test_edge_index_follows_the_edge_tuple(self):
+        topo = demo_topology()
+        assert list(topo.tails) == [i for i, _ in topo.edges]
+        assert list(topo.heads) == [j for _, j in topo.edges]
+        sources, targets = topo.arcs()
+        assert list(zip(sources, targets)) == list(topo.edges) + [(j, i) for i, j in topo.edges]
+        assert not topo.tails.flags.writeable and not topo.heads.flags.writeable
+        twin = Topology(vertex_count=6, edges=topo.edges)
+        assert twin == topo and hash(twin) == hash(topo)
+        assert "tails" not in repr(topo)
+        assert Topology(vertex_count=1, edges=()).tails.shape == (0,)
+
     def test_neighbor_counts(self):
         topo = demo_topology()
         assert list(topo.neighbor_counts()) == [3, 2, 2, 3, 2, 2]
