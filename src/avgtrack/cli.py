@@ -66,8 +66,9 @@ def _require_keys(section: dict, allowed: set, required: set, where: str):
 
 
 def _number(value, where: str, positive=False, nonnegative=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number")
+    # bools are ints to Python; NaN and ints past float range fail the bound
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number")
     v = float(value)
     if positive and v <= 0.0:
         raise ConfigError(f"{where} must be positive")
@@ -90,6 +91,21 @@ def load_config(path) -> dict:
     return doc
 
 
+def _numbers(value, where: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers")
+    return tuple(_number(v, f"{where}[{k}]") for k, v in enumerate(value))
+
+
+def _edges(value) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError("topology.edges must be a list of vertex pairs")
+    for k, e in enumerate(value):
+        if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
+            raise ConfigError(f"topology.edges[{k}] must be a pair of integer vertex indices")
+    return tuple(tuple(e) for e in value)
+
+
 def serialize_config(doc: dict) -> str:
     """Canonical JSON serialization of a scenario document."""
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -103,11 +119,11 @@ def _parse_input_spec(spec, where: str):
         return ZeroInput()
     if kind == "constant":
         _require_keys(spec, {"type", "value"}, {"type", "value"}, where)
-        return ConstantInput(value=tuple(spec["value"]))
+        return ConstantInput(value=_numbers(spec["value"], f"{where}.value"))
     if kind == "sinusoid":
         _require_keys(spec, {"type", "amplitude", "omega", "phase"}, {"type", "amplitude"}, where)
         return SinusoidInput(
-            amplitude=tuple(spec["amplitude"]),
+            amplitude=_numbers(spec["amplitude"], f"{where}.amplitude"),
             omega=_number(spec.get("omega", 1.0), f"{where}.omega"),
             phase=_number(spec.get("phase", 0.0), f"{where}.phase"),
         )
@@ -149,6 +165,8 @@ def validate_config(doc: dict):
         _require_keys(doc["initial"], {"r", "s", "clocks"}, set(), "initial")
     if "output" in doc:
         _require_keys(doc["output"], {"dir"}, set(), "output")
+        if not isinstance(doc["output"].get("dir", ""), str):
+            raise ConfigError("output.dir must be a string")
     if "seed" in doc and (isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int)):
         raise ConfigError("seed must be an integer")
 
@@ -200,10 +218,7 @@ class ScenarioBundle:
         topo_doc = doc["topology"]
         if isinstance(topo_doc["vertices"], bool) or not isinstance(topo_doc["vertices"], int):
             raise ConfigError("topology.vertices must be an integer")
-        self.topology = Topology(
-            vertex_count=topo_doc["vertices"],
-            edges=tuple(tuple(e) for e in topo_doc["edges"]),
-        )
+        self.topology = Topology(topo_doc["vertices"], _edges(topo_doc["edges"]))
 
         n_agents = self.topology.vertex_count
         inputs = doc["inputs"]
@@ -234,9 +249,8 @@ class ScenarioBundle:
 
         sync = doc.get("clock_sync", {"enabled": False})
         self.sync_enabled = bool(sync.get("enabled", False))
-        self.sync_offsets = np.array(
-            sync.get("initial_offsets", np.zeros(n_agents)), dtype=float
-        ).reshape(-1)
+        offsets = sync.get("initial_offsets", [0.0] * n_agents)
+        self.sync_offsets = np.array(_numbers(offsets, "clock_sync.initial_offsets"))
         if self.sync_offsets.shape != (n_agents,):
             raise ConfigError("clock_sync.initial_offsets must list one value per agent")
         self.sync_convention = sync.get("convention", ATTRACTING)
@@ -254,8 +268,8 @@ class ScenarioBundle:
             self.q_mat,
             eps=self.eps,
             phi=self.phi,
-            c1=self.doc.get("c1"),
-            c2=self.doc.get("c2"),
+            c1=None if self.doc.get("c1") is None else _number(self.doc["c1"], "c1"),
+            c2=None if self.doc.get("c2") is None else _number(self.doc["c2"], "c2"),
         )
         adapt = None
         if self.controller == "adaptive":

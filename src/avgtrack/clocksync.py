@@ -30,6 +30,13 @@ PAPER_LITERAL = "paper_literal"
 DEAD_BAND = 1e-12
 
 
+def coupling_sign(convention: str) -> float:
+    """sigma of clock_law: -1 attracting, +1 literal, ValueError otherwise."""
+    if convention not in (ATTRACTING, PAPER_LITERAL):
+        raise ValueError(f"unknown convention {convention!r}")
+    return -1.0 if convention == ATTRACTING else 1.0
+
+
 def sig_half(x):
     """sign(x) * sqrt(|x|), elementwise."""
     arr = np.asarray(x, dtype=float)
@@ -50,8 +57,7 @@ class ClockState:
         times = np.asarray(self.times, dtype=float).reshape(-1)
         if not np.all(np.isfinite(times)):
             raise ValueError("clock times must be finite")
-        if self.convention not in (ATTRACTING, PAPER_LITERAL):
-            raise ValueError(f"unknown convention {self.convention!r}")
+        coupling_sign(self.convention)
         object.__setattr__(self, "times", times)
 
     @property
@@ -60,12 +66,12 @@ class ClockState:
 
 
 def clock_rates(state: ClockState, topology: Topology) -> np.ndarray:
-    """dt_i/dt = 1 + sigma * sum_j sig_half(t_i - t_j), sigma = -1 for the
-    attracting convention and +1 for the literal one."""
+    """dt_i/dt = 1 + sigma * sum_j sig_half(t_i - t_j), sigma the
+    convention's coupling_sign."""
     times = state.times
     if times.shape[0] != topology.vertex_count:
         raise ValueError("clock vector and topology disagree on the agent count")
-    sigma = -1.0 if state.convention == ATTRACTING else 1.0
+    sigma = coupling_sign(state.convention)
     rates = np.ones(topology.vertex_count)
     for i, j in topology.edges:
         diff = times[i] - times[j]
@@ -141,7 +147,7 @@ def run_sync(
         # two-agent closed form settles at sqrt(offset); scale up for safety
         horizon = max(1.0, 4.0 * np.sqrt(max(state.spread, tol)))
 
-    sigma = -1.0 if convention == ATTRACTING else 1.0
+    sigma = coupling_sign(state.convention)
     sources, targets = topology.arcs()
 
     steps = int(round(horizon / step))

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocksync import ATTRACTING, PAPER_LITERAL, clock_law, edge_coupling
+from .clocksync import ATTRACTING, clock_law, coupling_sign, edge_coupling
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
 from .graph import Topology, laplacian
@@ -114,8 +114,7 @@ class Scenario:
             raise ValueError("horizon must be nonnegative")
         if int(self.sample_every) != self.sample_every or self.sample_every < 1:
             raise ValueError("sample_every must be a positive integer")
-        if self.clock_convention not in (ATTRACTING, PAPER_LITERAL):
-            raise ValueError(f"unknown clock convention {self.clock_convention!r}")
+        coupling_sign(self.clock_convention)
         if self.family.agent_count != self.topology.vertex_count:
             raise ValueError("input family and topology disagree on the agent count")
         if self.family.input_dim != self.plant.input_dim:
@@ -202,7 +201,7 @@ class _Dynamics:
         self.c2 = gains.c2
         k_mat = gains.k_mat
         self.k_t = k_mat.T
-        self.sigma = -1.0 if sc.clock_convention == ATTRACTING else 1.0
+        self.sigma = coupling_sign(sc.clock_convention)
 
         self.tails, self.heads = tails, heads = topo.tails, topo.heads
         self.arcs = topo.arcs()

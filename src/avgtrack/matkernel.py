@@ -1,7 +1,7 @@
 """Dense real-matrix kernel: symmetric eigendecomposition, Lyapunov solves,
 stabilizability test, the continuous algebraic Riccati equation solver used
 by the gain design, and the classical fourth-order Runge-Kutta step that the
-Riccati seed, the clock-sync pre-phase and the simulation engine all take.
+clock-sync pre-phase and the simulation engine both take.
 
 Everything here is a pure function of its inputs. The symmetric
 eigendecomposition is LAPACK's (np.linalg.eigh), so it also serves the
@@ -158,40 +158,14 @@ def _care_residual(p, a, b, q) -> np.ndarray:
     return p @ a + a.T @ p - p @ b @ b.T @ p + q
 
 
-def _dre_seed(a, b, q, max_steps: int = 20000) -> np.ndarray:
-    """Integrate dP/dt = PA + A^T P - P B B^T P + Q from P(0) = Q until the
-    gain stabilizes A, for use as a Newton-Kleinman starting point."""
-    bbt = b @ b.T
-
-    def rhs(_t, p):
-        return p @ a + a.T @ p - p @ bbt @ p + q
-
-    scale = max(1.0, np.linalg.norm(a), np.linalg.norm(q))
-    dt = 0.05 / scale
-    for _ in range(4):  # retry with a smaller step on blow-up
-        p = q.copy()
-        ok = True
-        for step in range(max_steps):
-            p = rk4(rhs, step * dt, p, dt)
-            p = 0.5 * (p + p.T)
-            if not np.all(np.isfinite(p)):
-                ok = False
-                break
-            if step % 10 == 9 and is_hurwitz(a - bbt @ p):
-                return p
-        if ok and is_hurwitz(a - bbt @ p):
-            return p
-        dt *= 0.1
-    raise NumericalError("differential Riccati seeding failed to stabilize the plant")
-
-
 def solve_care(a, b, q, max_iter: int = 60) -> np.ndarray:
     """Stabilizing solution of P A + A^T P - P B B^T P + Q = 0.
 
-    Newton-Kleinman iteration, each step a dense Lyapunov solve. When A is
-    already Hurwitz the iteration starts from the zero gain; otherwise a
-    forward integration of the differential Riccati equation supplies a
-    stabilizing seed that Newton-Kleinman then polishes.
+    Newton-Kleinman iteration, each step a dense Lyapunov solve, started
+    from the zero gain when A is Hurwitz. Otherwise it starts from pinv(X),
+    X solving (A + beta I) X + X (A + beta I)^T = 2 B B^T for a shift beta
+    that makes -(A + beta I) Hurwitz (Bass's construction): A - B B^T X^-1
+    is then Hurwitz, and pinv covers X singular on stable uncontrollable modes.
 
     Args:
         a: plant matrix, n x n.
@@ -217,7 +191,12 @@ def solve_care(a, b, q, max_iter: int = 60) -> np.ndarray:
         raise DesignError("(A, B) is not stabilizable")
 
     bbt = bm @ bm.T
-    p = np.zeros((n, n)) if is_hurwitz(am) else _dre_seed(am, bm, qm)
+    lam = eigvals_general(am)
+    if np.max(lam.real) < 0.0:
+        p = np.zeros((n, n))
+    else:  # beta half a spectral radius past the least shift; larger ill-conditions X
+        beta = max(0.0, -np.min(lam.real)) + 0.5 * (np.max(np.abs(lam)) or 1.0)
+        p = np.linalg.pinv(solve_lyapunov(-(am + beta * np.eye(n)).T, 2.0 * bbt))
 
     best_p, best_res = None, np.inf
     prev_res = np.inf

@@ -172,6 +172,46 @@ class TestExitCodes:
         assert err.startswith("schema-error: integrator.horizon")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "path, value, key",
+        [
+            (("topology", "edges"), [1, 2], "topology.edges[0]"),
+            (("topology", "edges", 0), [0, None], "topology.edges[0]"),
+            (("topology", "edges", 0), [0, 1.7], "topology.edges[0]"),
+            (("topology", "edges", 0), [0, True], "topology.edges[0]"),
+            (("inputs", 0, "amplitude"), 5, "inputs[0].amplitude"),
+            (("c1",), [1], "c1"),
+            (("c1",), True, "c1"),
+            (("output", "dir"), 5, "output.dir"),
+            (("integrator", "horizon"), float("inf"), "integrator.horizon"),
+            (("eps",), float("nan"), "eps"),
+            (("clock_sync", "initial_offsets"), [float("nan")] * 6, "clock_sync.initial_offsets"),
+        ],
+        ids=[
+            "edges-not-pairs", "edge-null", "edge-float", "edge-bool", "amplitude-scalar",
+            "c1-list", "c1-bool", "output-dir-int", "horizon-infinite", "eps-nan", "offsets-nan",
+        ],
+    )
+    def test_malformed_value_is_one_schema_line(self, tmp_path, capsys, path, value, key):
+        doc = json.loads(STATIC_CONFIG.read_text())
+        node = doc
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        assert main(["gains", str(write_config(tmp_path, doc))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema-error: {key}")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_slow_unstable_plant_designs(self, tmp_path, capsys):
+        # a slow unstable mode beside a fast stable one
+        doc = json.loads(STATIC_CONFIG.read_text())
+        doc["clock_sync"]["enabled"] = False
+        doc["plant"] = {"A": [[-100.0, 0.0], [0.0, 0.01]], "B": [[1.0], [1.0]]}
+        doc["Q"] = [[1e-4, 0.0], [0.0, 1e-4]]
+        assert main(["gains", str(write_config(tmp_path, doc))]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_zero_layer_with_agreeing_agents_is_finite(self, tmp_path, capsys):
         # eps = 0 is the signum law: an edge whose ends agree exactly has
         # zero direction instead of 0/0

@@ -1,6 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_are
+
+from conftest import DEMO_CONFIG
 
 from avgtrack.errors import DesignError, NumericalError
 from avgtrack.matkernel import (
@@ -236,6 +240,30 @@ class TestSolveCare:
             ours = solve_care(a, b, q)
             ref = solve_continuous_are(a, b, q, np.eye(1))
             assert np.max(np.abs(ours - ref)) <= 1e-7 * max(1.0, np.linalg.norm(ref))
+
+    @pytest.mark.parametrize(
+        "a, b, q",
+        [
+            # a slow unstable mode beside a fast stable one
+            (np.diag([-100.0, 0.01]), np.ones((2, 1)), 1e-4 * np.eye(2)),
+            (np.diag([-100.0, 0.05]), np.ones((2, 1)), 1e-3 * np.eye(2)),
+            # unstable and stabilizable, the stable mode out of B's reach
+            (np.diag([1.0, -1.0]), np.array([[1.0], [0.0]]), np.eye(2)),
+        ],
+        ids=["slow-unstable-0.01", "slow-unstable-0.05", "uncontrollable-stable-mode"],
+    )
+    def test_non_hurwitz_plant_against_scipy(self, a, b, q):
+        ours = solve_care(a, b, q)
+        ref = solve_continuous_are(a, b, q, np.eye(1))
+        assert np.max(np.abs(ours - ref)) <= 1e-7 * max(1.0, np.linalg.norm(ref))
+
+    def test_hurwitz_plant_keeps_zero_start(self):
+        # P of the shipped demo plant as first designed; a Hurwitz plant
+        # starts Newton-Kleinman from the zero gain, any other start moves
+        # these last bits
+        doc = json.loads(DEMO_CONFIG.read_text())
+        p = solve_care(doc["plant"]["A"], doc["plant"]["B"], doc["Q"])
+        assert np.array_equal(p, [[14.284023040000001, 1.5728], [1.5728, 4.3293]])
 
     def test_convergence_error_is_numerical(self):
         with pytest.raises(NumericalError):
