@@ -10,14 +10,9 @@ from .controllers import (
     AdaptiveParams,
     GainSet,
     OmegaRadii,
-    adaptive_control,
-    boundary_layer,
     design_adaptive_params,
     design_gains,
-    modified_control,
     omega_radii,
-    signum_dir,
-    static_control,
 )
 from .engine import (
     Scenario,
@@ -56,8 +51,6 @@ __all__ = [
     "Topology",
     "Trace",
     "ZeroInput",
-    "adaptive_control",
-    "boundary_layer",
     "centering_matrix",
     "clock_rates",
     "consensus_error",
@@ -72,16 +65,13 @@ __all__ = [
     "laplacian",
     "lyapunov_v1",
     "lyapunov_v2",
-    "modified_control",
     "omega_radii",
     "run",
     "run_sync",
     "settling_time",
     "sig_half",
-    "signum_dir",
     "solve_care",
     "solve_lyapunov",
-    "static_control",
     "step_rk4",
     "sym_eigen",
     "total_variation",

@@ -18,13 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .clocksync import ATTRACTING, PAPER_LITERAL, run_sync
-from .controllers import (
-    design_adaptive_params,
-    design_gains,
-    omega_radii,
-)
-from .engine import Scenario, Trace, run, total_variation
+from .clocksync import ATTRACTING, PAPER_LITERAL, clock_spread, run_sync
+from .controllers import design_adaptive_params, design_gains, omega_radii
+from .engine import Scenario, Trace, run, total_variation, tracking_error
 from .errors import ConfigError, DesignError, NumericalError
 from .graph import Topology
 from .signals import ConstantInput, InputFamily, Plant, SinusoidInput, ZeroInput
@@ -248,7 +244,9 @@ class ScenarioBundle:
         self.sample_every = stride
 
         sync = doc.get("clock_sync", {"enabled": False})
-        self.sync_enabled = bool(sync.get("enabled", False))
+        self.sync_enabled = sync["enabled"]
+        if type(self.sync_enabled) is not bool:
+            raise ConfigError("clock_sync.enabled must be true or false")
         offsets = sync.get("initial_offsets", [0.0] * n_agents)
         self.sync_offsets = np.array(_numbers(offsets, "clock_sync.initial_offsets"))
         if self.sync_offsets.shape != (n_agents,):
@@ -323,10 +321,9 @@ def _matrix_list(mat) -> list:
 
 def gain_report(bundle: ScenarioBundle) -> dict:
     gains, adapt = bundle.design()
-    radii = omega_radii(gains, adapt, bundle.topology) if (
-        adapt is None or adapt.rho < gains.gamma_rate
-    ) else None
-    report = {
+    feasible = adapt is not None and adapt.feasible(gains)
+    radii = omega_radii(gains, adapt if feasible else None, bundle.topology)
+    return {
         "P": _matrix_list(gains.p_mat),
         "K": _matrix_list(gains.k_mat),
         "Gamma": _matrix_list(gains.gamma_mat),
@@ -337,22 +334,12 @@ def gain_report(bundle: ScenarioBundle) -> dict:
         "gamma": gains.gamma_rate,
         "eps": gains.eps,
         "phi": gains.phi,
-        "rho": None,
-        "feasible": None,
-        "omega0": None,
-        "omega2": None,
-        "omega1_level": None,
+        "rho": None if adapt is None else adapt.rho,
+        "feasible": None if adapt is None else feasible,
+        "omega0": radii.omega0,
+        "omega2": radii.omega2,
+        "omega1_level": radii.omega1_level,
     }
-    if radii is not None:
-        report["omega0"] = radii.omega0
-        report["omega2"] = radii.omega2
-        report["omega1_level"] = radii.omega1_level
-    else:
-        report["omega0"] = omega_radii(gains, None, bundle.topology).omega0
-    if adapt is not None:
-        report["rho"] = adapt.rho
-        report["feasible"] = bool(adapt.rho < gains.gamma_rate)
-    return report
 
 
 def write_trace_csv(trace: Trace, path: Path):
@@ -386,16 +373,14 @@ def write_trace_csv(trace: Trace, path: Path):
 
 def summarize(trace: Trace, gains, adapt, bundle: ScenarioBundle, sync_info=None) -> dict:
     per_agent_tv, tv_total = total_variation(trace)
-    x_final = trace.x[-1]
-    r_mean = trace.r[-1].mean(axis=0)
-    tracking = np.sqrt(((x_final - r_mean) ** 2).sum())
+    tracking = tracking_error(trace.x[-1], trace.r[-1])
     radii = None
-    if adapt is None or adapt.rho < gains.gamma_rate:
+    if adapt is None or adapt.feasible(gains):
         radii = omega_radii(gains, adapt, bundle.topology)
-    summary = {
+    return {
         "final_time": float(trace.times[-1]),
         "final_xi_norm": float(trace.xi_norm[-1]),
-        "final_tracking_error_norm": float(tracking),
+        "final_tracking_error_norm": float(np.sqrt((tracking**2).sum())),
         "final_v1": float(trace.v1[-1]),
         "final_v2": float(trace.v2[-1]) if trace.v2 is not None else None,
         "max_clock_spread": float(trace.clock_spread.max()),
@@ -409,7 +394,6 @@ def summarize(trace: Trace, gains, adapt, bundle: ScenarioBundle, sync_info=None
         "clock_sync": sync_info,
         "samples": int(trace.sample_count),
     }
-    return summary
 
 
 # -- subcommands --------------------------------------------------------------
@@ -438,7 +422,7 @@ def _stored(key: str, what: str):
 
 def _sync_pre_phase(bundle: ScenarioBundle):
     """Run the clock-sync phase; returns (clocks0 for tracking, info dict)."""
-    spread = np.ptp(bundle.sync_offsets)
+    spread = clock_spread(bundle.sync_offsets)
     with _stored("clock_sync.initial_offsets", f"the sync steps for a spread of {spread:g}"):
         result = run_sync(
             bundle.topology,
@@ -461,20 +445,37 @@ def _sync_pre_phase(bundle: ScenarioBundle):
     return np.full(bundle.topology.vertex_count, common), info
 
 
-def cmd_run(config_path, horizon=None, step=None, out_dir=None) -> int:
+def _simulate(config_path, out_dir, directions, horizon=None, step=None):
+    """Load, design, sync when enabled and run once per entry of directions
+    (True: discontinuous). Returns (bundle, gains, adapt, sync_info, traces, out)."""
+    if horizon is not None:
+        horizon = _number(horizon, "--horizon", nonnegative=True)
+    if step is not None:
+        step = _number(step, "--step", positive=True)
     bundle = ScenarioBundle(load_config(config_path))
     gains, adapt = bundle.design()
-    sync_info = None
-    clocks0 = None
+    sync_info = clocks0 = None
     if bundle.sync_enabled:
         clocks0, sync_info = _sync_pre_phase(bundle)
-    scenario = bundle.scenario(gains, adapt, horizon=horizon, step=step, clocks0=clocks0)
-    samples = scenario.steps // scenario.sample_every + 1
-    with _stored("integrator.horizon", f"{samples} trace samples"):
-        trace = run(scenario)
+    traces = []
+    for discontinuous in directions:
+        scenario = bundle.scenario(
+            gains, adapt, horizon=horizon, step=step, discontinuous=discontinuous,
+            clocks0=clocks0,
+        )
+        samples = scenario.steps // scenario.sample_every + 1
+        with _stored("integrator.horizon", f"{samples} trace samples"):
+            traces.append(run(scenario))
 
     out = Path(out_dir) if out_dir is not None else bundle.out_dir
     out.mkdir(parents=True, exist_ok=True)
+    return bundle, gains, adapt, sync_info, traces, out
+
+
+def cmd_run(config_path, horizon=None, step=None, out_dir=None) -> int:
+    bundle, gains, adapt, sync_info, (trace,), out = _simulate(
+        config_path, out_dir, (False,), horizon, step
+    )
     write_trace_csv(trace, out / "trace.csv")
     summary = summarize(trace, gains, adapt, bundle, sync_info)
     (out / "summary.json").write_text(
@@ -485,24 +486,9 @@ def cmd_run(config_path, horizon=None, step=None, out_dir=None) -> int:
 
 
 def cmd_compare(config_path, out_dir=None) -> int:
-    bundle = ScenarioBundle(load_config(config_path))
-    gains, adapt = bundle.design()
-    sync_info = None
-    clocks0 = None
-    if bundle.sync_enabled:
-        clocks0, sync_info = _sync_pre_phase(bundle)
-
-    traces = {}
-    for label, discontinuous in (("continuous", False), ("discontinuous", True)):
-        scenario = bundle.scenario(gains, adapt, discontinuous=discontinuous, clocks0=clocks0)
-        samples = scenario.steps // scenario.sample_every + 1
-        with _stored("integrator.horizon", f"{samples} trace samples"):
-            traces[label] = run(scenario)
-
-    out = Path(out_dir) if out_dir is not None else bundle.out_dir
-    out.mkdir(parents=True, exist_ok=True)
+    *_, sync_info, traces, out = _simulate(config_path, out_dir, (False, True))
     report = {"clock_sync": sync_info}
-    for label, trace in traces.items():
+    for label, trace in zip(("continuous", "discontinuous"), traces):
         write_trace_csv(trace, out / f"trace_{label}.csv")
         _, tv_total = total_variation(trace)
         report[label] = {
@@ -560,13 +546,10 @@ def main(argv=None) -> int:
                 args.config, horizon=args.horizon, step=args.step, out_dir=args.out
             )
         return cmd_compare(args.config, out_dir=args.out)
-    except ConfigError as exc:
-        print(f"schema-error: {exc}", file=sys.stderr)
-        return 1
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, but numerical
         print(f"numeric-error: linear algebra failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"schema-error: {exc}", file=sys.stderr)
         return 1
     except DesignError as exc:
@@ -575,9 +558,6 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numeric-error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"schema-error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ kept as an independent reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,6 +35,13 @@ def coupling_sign(convention: str) -> float:
     if convention not in (ATTRACTING, PAPER_LITERAL):
         raise ValueError(f"unknown convention {convention!r}")
     return -1.0 if convention == ATTRACTING else 1.0
+
+
+def clock_spread(clocks) -> np.ndarray:
+    """max_i t_i - min_i t_i over the last axis: per sample of a trajectory."""
+    # not np.ptp, whose subtract holds both reductions and a third array; the
+    # operator reuses the temporary max in place
+    return clocks.max(axis=-1) - clocks.min(axis=-1)
 
 
 def sig_half(x):
@@ -62,7 +69,7 @@ class ClockState:
 
     @property
     def spread(self) -> float:
-        return float(np.max(self.times) - np.min(self.times))
+        return float(clock_spread(self.times))
 
 
 def clock_rates(state: ClockState, topology: Topology) -> np.ndarray:
@@ -108,7 +115,7 @@ class SyncResult:
 
     @property
     def spreads(self) -> np.ndarray:
-        return self.clocks.max(axis=1) - self.clocks.min(axis=1)
+        return clock_spread(self.clocks)
 
 
 def run_sync(
@@ -157,10 +164,10 @@ def run_sync(
     for k in range(steps):
         clk = rk4(clock_law, k * step, clk, step, sigma, sources, targets)
         out_c[k + 1] = clk
-    out_t = np.arange(steps + 1) * step
-
-    settled = settling_time(out_t, out_c.max(axis=1) - out_c.min(axis=1), tol)
-    return SyncResult(times=out_t, clocks=out_c, settled_at=settled, final=clk)
+    result = SyncResult(
+        times=np.arange(steps + 1) * step, clocks=out_c, settled_at=None, final=clk
+    )
+    return replace(result, settled_at=settling_time(result.times, result.spreads, tol))
 
 
 def settling_time(times, spreads, tol: float) -> float | None:

@@ -1,6 +1,7 @@
-"""The three edge-based control laws (static, modified, adaptive), the
-boundary-layer nonlinearity and its discontinuous counterpart, the
-Riccati-based gain design, and the ultimate-bound radii.
+"""Riccati-based gain design for the three edge-based control laws
+(static, modified, adaptive), the adaptive constants with their feasibility
+test, and the ultimate-bound radii. The laws themselves are evaluated by the
+simulation engine's compiled right-hand side.
 
 Conventions adopted throughout:
   * The second coupling strength and the adaptive bound constant use the
@@ -30,42 +31,17 @@ from .signals import InputFamily, Plant
 _GAIN_ATOL = 1e-12
 
 
-def boundary_layer(w, t_local: float, eps: float, phi: float) -> np.ndarray:
-    """Continuous direction term w / (||w|| + eps * exp(-phi * t_local)).
-
-    The result norm is strictly below 1 for eps > 0. eps = 0 is accepted as
-    the degenerate discontinuous limit (then identical to ``signum_dir``).
-    """
-    if eps < 0.0 or phi < 0.0:
-        raise ValueError("eps and phi must be nonnegative")
-    v = np.asarray(w, dtype=float)
-    denom = np.linalg.norm(v) + eps * np.exp(-phi * t_local)
-    if denom == 0.0:
-        return np.zeros_like(v)
-    return v / denom
-
-
-def signum_dir(w) -> np.ndarray:
-    """Unit direction w / ||w||, with 0 mapped to 0."""
-    v = np.asarray(w, dtype=float)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        return np.zeros_like(v)
-    return v / nrm
-
-
 @dataclass(frozen=True)
 class GainSet:
     """Designed gains for one plant/topology/input-family combination.
 
-    With K = -B^T P the quadratic-form matrix satisfies
-    Gamma = P B B^T P = K^T K; that identity is enforced at construction,
-    as are the lower bounds c1 >= 1/(2*lambda2) and c2 >= f0*(N-1)*sqrt(N).
+    With K = -B^T P the quadratic-form matrix Gamma = P B B^T P is K^T K,
+    derived from k_mat. The lower bounds c1 >= 1/(2*lambda2) and
+    c2 >= f0*(N-1)*sqrt(N) are enforced at construction.
     """
 
     p_mat: np.ndarray
     k_mat: np.ndarray
-    gamma_mat: np.ndarray
     c1: float
     c2: float
     lam2: float
@@ -78,11 +54,6 @@ class GainSet:
     def __post_init__(self):
         object.__setattr__(self, "p_mat", as_matrix(self.p_mat))
         object.__setattr__(self, "k_mat", as_matrix(self.k_mat))
-        object.__setattr__(self, "gamma_mat", as_matrix(self.gamma_mat))
-        expected_gamma = self.k_mat.T @ self.k_mat
-        scale = max(1.0, float(np.abs(expected_gamma).max()))
-        if np.abs(self.gamma_mat - expected_gamma).max() > 1e-12 * scale:
-            raise ValueError("gamma_mat must equal k_mat^T @ k_mat")
         if self.eps < 0.0 or self.phi < 0.0:
             raise ValueError("eps and phi must be nonnegative")
         if self.lam2 <= 0.0 or self.gamma_rate <= 0.0:
@@ -97,6 +68,11 @@ class GainSet:
             raise DesignError(
                 f"c2 = {self.c2} below the admissible floor f0*(N-1)*sqrt(N) = {self.c2_floor}"
             )
+
+    @property
+    def gamma_mat(self) -> np.ndarray:
+        """Gamma = P B B^T P = K^T K."""
+        return self.k_mat.T @ self.k_mat
 
     @property
     def c1_floor(self) -> float:
@@ -124,11 +100,18 @@ class AdaptiveParams:
     nu: float
     theta: float
     chi: float
-    rho: float
 
     def __post_init__(self):
         if min(self.mu, self.nu, self.theta, self.chi) <= 0.0:
             raise ValueError("mu, nu, theta, chi must all be positive")
+
+    @property
+    def rho(self) -> float:
+        return max(self.mu * self.theta, self.nu * self.chi)
+
+    def feasible(self, gains: GainSet) -> bool:
+        """rho < gamma, the condition for the exponential bound omega2."""
+        return self.rho < gains.gamma_rate
 
 
 def design_adaptive_params(
@@ -139,8 +122,8 @@ def design_adaptive_params(
     With strict=True the combination is rejected unless rho < gamma_rate,
     the feasibility condition for the exponential tracking bound.
     """
-    params = AdaptiveParams(mu=mu, nu=nu, theta=theta, chi=chi, rho=max(mu * theta, nu * chi))
-    if strict and params.rho >= gains.gamma_rate:
+    params = AdaptiveParams(mu=mu, nu=nu, theta=theta, chi=chi)
+    if strict and not params.feasible(gains):
         raise DesignError(
             f"infeasible adaptive design: rho = {params.rho} >= gamma = {gains.gamma_rate}"
         )
@@ -160,7 +143,7 @@ def design_gains(
     """Full gain design: Riccati solve, feedback gain, coupling strengths.
 
     Steps: check connectivity and stabilizability, solve the Riccati
-    equation for P, set K = -B^T P and Gamma = P B B^T P, then pick
+    equation for P, set K = -B^T P (so Gamma = K^T K), then pick
     c1 = 1/(2*lambda2) and c2 = f0*(N-1)*sqrt(N) unless explicit values are
     supplied (which must still clear those floors).
 
@@ -176,7 +159,6 @@ def design_gains(
     q_mat = as_matrix(q, rows=plant.state_dim, cols=plant.state_dim)
     p_mat = solve_care(plant.a, plant.b, q_mat)  # validates stabilizability and Q > 0
     k_mat = -plant.b.T @ p_mat
-    gamma_mat = p_mat @ plant.b @ plant.b.T @ p_mat
 
     lam2 = lambda2(topology)
     f0 = family.bound()
@@ -186,7 +168,6 @@ def design_gains(
     return GainSet(
         p_mat=p_mat,
         k_mat=k_mat,
-        gamma_mat=gamma_mat,
         c1=1.0 / (2.0 * lam2) if c1 is None else float(c1),
         c2=f0 * (n_agents - 1) * np.sqrt(n_agents) if c2 is None else float(c2),
         lam2=lam2,
@@ -196,114 +177,6 @@ def design_gains(
         phi=phi,
         agent_count=n_agents,
     )
-
-
-def _direction(w, t_local: float, gains: GainSet, discontinuous: bool) -> np.ndarray:
-    if discontinuous:
-        return signum_dir(w)
-    return boundary_layer(w, t_local, gains.eps, gains.phi)
-
-
-def static_control(
-    i: int,
-    x_all,
-    gains: GainSet,
-    t_local: float,
-    topology: Topology,
-    discontinuous: bool = False,
-):
-    """Static-gain law for agent i:
-    u_i = c1 * sum_j K (x_i - x_j) + c2 * sum_j h(K (x_i - x_j), t_i).
-
-    Returns (u_i, per-edge terms), the latter mapping each neighbor j to its
-    additive contribution to u_i. Only neighbor-relative states enter.
-    """
-    x = np.asarray(x_all, dtype=float)
-    k = gains.k_mat
-    u = np.zeros(k.shape[0])
-    per_edge: dict[int, np.ndarray] = {}
-    for j in topology.neighbors(i):
-        w = k @ (x[i] - x[j])
-        term = gains.c1 * w + gains.c2 * _direction(w, t_local, gains, discontinuous)
-        per_edge[j] = term
-        u += term
-    return u, per_edge
-
-
-def modified_control(
-    i: int,
-    x_all,
-    gains: GainSet,
-    t_local: float,
-    topology: Topology,
-    discontinuous: bool = False,
-) -> np.ndarray:
-    """Modified law: u_i = K x_i + c2 * sum_j h(K (x_i - x_j), t_i).
-
-    The absolute-state feedback term removes the zero-initial-filter-state
-    requirement (the filter sum then decays under the Hurwitz A + B K).
-    """
-    x = np.asarray(x_all, dtype=float)
-    k = gains.k_mat
-    u = k @ x[i]
-    for j in topology.neighbors(i):
-        w = k @ (x[i] - x[j])
-        u = u + gains.c2 * _direction(w, t_local, gains, discontinuous)
-    return u
-
-
-def adaptive_control(
-    i: int,
-    x_all,
-    gains: GainSet,
-    adapt: AdaptiveParams,
-    alpha,
-    beta,
-    t_local: float,
-    topology: Topology,
-    discontinuous: bool = False,
-):
-    """Adaptive law for agent i with per-edge coupling strengths.
-
-    u_i = sum_j alpha_e * K (x_i - x_j) + sum_j beta_e * h(K (x_i - x_j), t_i)
-
-    alpha and beta are indexed by the undirected edge (one shared state per
-    edge, which keeps alpha_ij = alpha_ji exact). Returns (u_i, alpha_dot,
-    beta_dot) where the rate dicts map edge index -> derivative:
-
-      alpha_dot_e = mu * (-theta * alpha_e + (x_i - x_j)^T Gamma (x_i - x_j))
-      beta_dot_e  = nu * (-chi * beta_e + ||w||^2 / (||w|| + eps * e^{-phi t}))
-
-    with w = K (x_i - x_j). The boundary layer uses the calling agent's
-    clock; across a shared edge the two endpoints' rates coincide once the
-    clocks agree.
-    """
-    x = np.asarray(x_all, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    k = gains.k_mat
-    u = np.zeros(k.shape[0])
-    alpha_dot: dict[int, float] = {}
-    beta_dot: dict[int, float] = {}
-    for e, (a, b) in enumerate(topology.edges):
-        if i == a:
-            j = b
-        elif i == b:
-            j = a
-        else:
-            continue
-        d = x[i] - x[j]
-        w = k @ d
-        u += alpha[e] * w + beta[e] * _direction(w, t_local, gains, discontinuous)
-        nrm = np.linalg.norm(w)
-        if discontinuous:
-            beta_source = nrm
-        else:
-            layer = nrm + gains.eps * np.exp(-gains.phi * t_local)
-            beta_source = nrm**2 / layer if layer > 0.0 else 0.0
-        alpha_dot[e] = adapt.mu * (-adapt.theta * alpha[e] + float(d @ gains.gamma_mat @ d))
-        beta_dot[e] = adapt.nu * (-adapt.chi * beta[e] + beta_source)
-    return u, alpha_dot, beta_dot
 
 
 @dataclass(frozen=True)
@@ -336,7 +209,7 @@ def omega_radii(
     if adapt is None:
         return OmegaRadii(omega0=omega0)
 
-    if adapt.rho >= gains.gamma_rate:
+    if not adapt.feasible(gains):
         raise DesignError(
             f"omega2 undefined: rho = {adapt.rho} >= gamma = {gains.gamma_rate}"
         )

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clocksync import ATTRACTING, clock_law, coupling_sign, edge_coupling
+from .clocksync import ATTRACTING, clock_law, clock_spread, coupling_sign, edge_coupling
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
 from .graph import Topology, laplacian
@@ -805,23 +805,14 @@ def run(scenario: Scenario) -> Trace:
         if k < steps:
             y = _advance(dyn, t, y, dt)
 
-    x_out = s_out + r_out
-    xi = x_out - x_out.mean(axis=1, keepdims=True)
-    xi_norm = np.sqrt((xi * xi).sum(axis=(1, 2)))
-    p_mat = scenario.gains.p_mat
-    v1 = np.einsum("kia,ab,kib->k", xi, p_mat, xi)
-
+    gains, adapt = scenario.gains, scenario.adapt
+    xi, xi_norm = consensus_error(s_out + r_out)
+    v1 = _quadratic_form(xi, gains.p_mat)
     v2 = None
     if scenario.controller == "adaptive":
-        abar = scenario.gains.c1_floor
-        bbar = scenario.gains.c2_floor
-        adapt = scenario.adapt
-        # ordered neighbor pairs count each undirected edge twice
-        v2 = v1 + ((a_out - abar) ** 2 / adapt.mu + (b_out - bbar) ** 2 / adapt.nu).sum(
-            axis=1
+        v2 = v1 + _gain_deviation(
+            a_out, b_out, gains.c1_floor, gains.c2_floor, adapt.mu, adapt.nu
         )
-
-    clock_spread = c_out.max(axis=1) - c_out.min(axis=1)
 
     return Trace(
         scenario=scenario,
@@ -836,45 +827,55 @@ def run(scenario: Scenario) -> Trace:
         xi_norm=xi_norm,
         v1=v1,
         v2=v2,
-        clock_spread=clock_spread,
+        clock_spread=clock_spread(c_out),
     )
 
 
 # -- trajectory metrics ----------------------------------------------------
+#
+# Each takes one sample, agents by state (N, n), or a stack of them with
+# leading sample axes (..., N, n), and returns one value per sample.
 
 
-def consensus_error(x_all) -> tuple[np.ndarray, float]:
+def consensus_error(x_all):
     """Deviation of every agent's state from the instantaneous mean, plus
     the stacked two-norm. Columns of the result always sum to zero."""
     x = np.asarray(x_all, dtype=float)
-    xi = x - x.mean(axis=0, keepdims=True)
-    return xi, float(np.sqrt((xi * xi).sum()))
+    xi = x - x.mean(axis=-2, keepdims=True)
+    return xi, np.sqrt((xi * xi).sum(axis=(-2, -1)))
 
 
 def tracking_error(x_all, r_all) -> np.ndarray:
     """Per-agent deviation from the average reference, x_i - mean_k(r_k)."""
     x = np.asarray(x_all, dtype=float)
     r = np.asarray(r_all, dtype=float)
-    return x - r.mean(axis=0, keepdims=True)
+    return x - r.mean(axis=-2, keepdims=True)
 
 
-def lyapunov_v1(xi, p_mat) -> float:
+def _quadratic_form(xi, p_mat):
+    """sum_i xi_i^T P xi_i, which is xi^T (M kron P) xi for a centred xi."""
+    return np.einsum("...ia,ab,...ib->...", xi, p_mat, xi)
+
+
+def _gain_deviation(alpha, beta, alpha_bar, beta_bar, mu, nu):
+    """sum_e (alpha_e - alpha_bar)^2 / mu + (beta_e - beta_bar)^2 / nu."""
+    return ((alpha - alpha_bar) ** 2 / mu + (beta - beta_bar) ** 2 / nu).sum(axis=-1)
+
+
+def lyapunov_v1(xi, p_mat):
     """Quadratic certificate xi^T (M kron P) xi. The input is centered first
     (idempotent), so the value is insensitive to a mean component."""
-    z = np.asarray(xi, dtype=float)
-    z = z - z.mean(axis=0, keepdims=True)
-    p = np.asarray(p_mat, dtype=float)
-    return float(np.einsum("ia,ab,ib->", z, p, z))
+    z, _ = consensus_error(xi)
+    return _quadratic_form(z, np.asarray(p_mat, dtype=float))
 
 
-def lyapunov_v2(xi, p_mat, alpha, beta, alpha_bar, beta_bar, mu, nu) -> float:
+def lyapunov_v2(xi, p_mat, alpha, beta, alpha_bar, beta_bar, mu, nu):
     """Adaptive certificate: V1 plus the ordered-pair sum of squared gain
     deviations, sum_i sum_{j in N_i} (tilde_a^2/(2 mu) + tilde_b^2/(2 nu)).
     alpha and beta are per undirected edge, so each deviation enters twice."""
     a = np.asarray(alpha, dtype=float)
     b = np.asarray(beta, dtype=float)
-    extra = ((a - alpha_bar) ** 2 / mu + (b - beta_bar) ** 2 / nu).sum()
-    return lyapunov_v1(xi, p_mat) + float(extra)
+    return lyapunov_v1(xi, p_mat) + _gain_deviation(a, b, alpha_bar, beta_bar, mu, nu)
 
 
 @dataclass(frozen=True)

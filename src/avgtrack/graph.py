@@ -63,15 +63,6 @@ class Topology:
         """|N_i| for every vertex, as an integer array."""
         return np.bincount(self.arcs()[0], minlength=self.vertex_count)
 
-    def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return out
-
 
 def incidence(t: Topology) -> np.ndarray:
     """N x E incidence matrix: +1 at each edge's tail, -1 at its head."""

@@ -109,10 +109,11 @@ def solve_lyapunov(f, w) -> np.ndarray:
 
 def is_stabilizable(a, b) -> bool:
     """PBH stabilizability test: rank [A - lambda*I, B] = n for every
-    eigenvalue lambda of A with nonnegative real part.
+    eigenvalue lambda of A with nonnegative real part, the PBH matrix
+    evaluated in complex arithmetic.
 
-    The PBH matrix is evaluated in complex arithmetic; ``pbh_rank_real``
-    provides the equivalent real stacked form for cross-checking.
+    Raises NumericalError when an eigenvalue of A overflows, as it can for
+    entries near the float range.
     """
     am = as_matrix(a)
     n = am.shape[0]
@@ -120,7 +121,10 @@ def is_stabilizable(a, b) -> bool:
         raise ValueError("A must be square")
     bm = as_matrix(b, rows=n)
 
-    for lam in eigvals_general(am):
+    lams = eigvals_general(am)
+    if not np.all(np.isfinite(lams)):
+        raise NumericalError("eigenvalues of A overflow the float range")
+    for lam in lams:
         if lam.real < 0.0:
             continue
         pbh = np.hstack([am - lam * np.eye(n), bm]).astype(complex)
@@ -128,19 +132,6 @@ def is_stabilizable(a, b) -> bool:
         if np.sum(sigma > RANK_RTOL * sigma[0]) < n:
             return False
     return True
-
-
-def pbh_rank_real(a, b, sigma_re: float, omega_im: float) -> int:
-    """Rank of the real stacked PBH form [ (A-sI)^2 + w^2 I, B, (A-sI)B ]
-    for the conjugate eigenvalue pair s +- j*w. Agrees with the complex
-    PBH rank decision; kept for validation."""
-    am = as_matrix(a)
-    n = am.shape[0]
-    bm = as_matrix(b, rows=n)
-    shifted = am - sigma_re * np.eye(n)
-    stacked = np.hstack([shifted @ shifted + omega_im**2 * np.eye(n), bm, shifted @ bm])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
 def rk4(f, t: float, y: np.ndarray, dt: float, *args) -> np.ndarray:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import avgtrack
 from avgtrack.cli import (
     ScenarioBundle,
     _sync_pre_phase,
@@ -186,10 +190,15 @@ class TestExitCodes:
             (("integrator", "horizon"), float("inf"), "integrator.horizon"),
             (("eps",), float("nan"), "eps"),
             (("clock_sync", "initial_offsets"), [float("nan")] * 6, "clock_sync.initial_offsets"),
+            (("clock_sync", "enabled"), "no", "clock_sync.enabled"),
+            (("clock_sync", "enabled"), "yes", "clock_sync.enabled"),
+            (("clock_sync", "enabled"), [0], "clock_sync.enabled"),
+            (("clock_sync", "enabled"), 1, "clock_sync.enabled"),
         ],
         ids=[
             "edges-not-pairs", "edge-null", "edge-float", "edge-bool", "amplitude-scalar",
             "c1-list", "c1-bool", "output-dir-int", "horizon-infinite", "eps-nan", "offsets-nan",
+            "enabled-no", "enabled-yes", "enabled-list", "enabled-int",
         ],
     )
     def test_malformed_value_is_one_schema_line(self, tmp_path, capsys, path, value, key):
@@ -202,6 +211,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"schema-error: {key}")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--horizon", "inf"), ("--horizon", "1e400"), ("--horizon", "nan"), ("--step", "inf")],
+    )
+    def test_nonfinite_flag_is_one_schema_line(self, tmp_path, capsys, flag, value):
+        path = write_config(tmp_path, tiny_config())
+        assert main(["run", str(path), flag, value, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema-error: {flag}")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_overflowing_plant_is_three_with_one_line(self, tmp_path):
+        # run as a user does, so that a numpy warning would reach stderr
+        doc = json.loads(STATIC_CONFIG.read_text())
+        doc["plant"]["A"] = [[1e308, 1e308], [1e308, 1e308]]
+        path = write_config(tmp_path, doc)
+        env = dict(os.environ, PYTHONPATH=str(Path(avgtrack.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "avgtrack.cli", "gains", str(path)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("numeric-error:")
+        assert len(done.stderr.strip().splitlines()) == 1
 
     def test_slow_unstable_plant_designs(self, tmp_path, capsys):
         # a slow unstable mode beside a fast stable one

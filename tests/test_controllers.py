@@ -4,20 +4,22 @@ import pytest
 from avgtrack.controllers import (
     AdaptiveParams,
     GainSet,
-    adaptive_control,
-    boundary_layer,
     design_adaptive_params,
     design_gains,
-    modified_control,
     omega_radii,
-    signum_dir,
-    static_control,
 )
 from avgtrack.errors import DesignError
 from avgtrack.graph import Topology
 from avgtrack.signals import InputFamily, Plant, ZeroInput
 
 from conftest import DEMO_Q, demo_plant, demo_topology, ramped_sine_family
+from oracles import (
+    adaptive_control,
+    boundary_layer,
+    modified_control,
+    signum_dir,
+    static_control,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -27,7 +29,6 @@ def two_agent_gains(c1=1.0, c2=0.0, eps=1.0, phi=0.0):
     return GainSet(
         p_mat=[[1.0]],
         k_mat=[[-1.0]],
-        gamma_mat=[[1.0]],
         c1=c1,
         c2=c2,
         lam2=2.0,
@@ -98,6 +99,18 @@ class TestDesignGains:
         expected_gamma = demo_gains.k_mat.T @ demo_gains.k_mat
         assert np.allclose(demo_gains.gamma_mat, expected_gamma, atol=1e-9)
         assert np.max(np.abs(demo_gains.gamma_mat - [[2.4738, 6.8092], [6.8092, 18.7428]])) < 2e-3
+
+    def test_gamma_is_p_b_bt_p_on_multi_input_plants(self):
+        # Gamma is derived as K^T K; on general plants that equals
+        # P B B^T P only to rounding
+        rng = np.random.default_rng(2026)
+        topo = Topology(vertex_count=2, edges=((0, 1),))
+        family = InputFamily(specs=(ZeroInput(),) * 2, input_dim=2)
+        for _ in range(10):
+            plant = Plant(a=rng.normal(size=(3, 3)), b=rng.normal(size=(3, 2)))
+            gains = design_gains(plant, topo, family, np.eye(3), eps=1.0, phi=0.0)
+            expect = gains.p_mat @ plant.b @ plant.b.T @ gains.p_mat
+            assert np.abs(gains.gamma_mat - expect).max() <= 1e-14 * np.abs(expect).max()
 
     def test_identity_weight_closed_form(self):
         gains = design_gains(
@@ -206,7 +219,7 @@ class TestModifiedControl:
 
 class TestAdaptiveControl:
     def _params(self):
-        return AdaptiveParams(mu=10.0, nu=10.0, theta=0.01, chi=0.01, rho=0.1)
+        return AdaptiveParams(mu=10.0, nu=10.0, theta=0.01, chi=0.01)
 
     def test_consensus_with_zero_gains_is_quiescent(self, demo_gains):
         topo = demo_topology()
@@ -294,9 +307,17 @@ class TestDesignAdaptiveParams:
         with pytest.raises(DesignError, match="infeasible"):
             design_adaptive_params(demo_gains, mu=100.0, nu=1.0, theta=1.0, chi=1.0, strict=True)
 
+    def test_rho_is_derived_from_the_constants(self):
+        assert AdaptiveParams(mu=100, nu=1, theta=1, chi=1).rho == 100
+
+    def test_feasibility_is_rho_below_gamma(self, demo_gains):
+        gamma = demo_gains.gamma_rate
+        assert AdaptiveParams(mu=1.0, nu=1.0, theta=0.5 * gamma, chi=0.1).feasible(demo_gains)
+        assert not AdaptiveParams(mu=1.0, nu=1.0, theta=gamma, chi=0.1).feasible(demo_gains)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            AdaptiveParams(mu=0.0, nu=1.0, theta=1.0, chi=1.0, rho=0.0)
+            AdaptiveParams(mu=0.0, nu=1.0, theta=1.0, chi=1.0)
 
 
 class TestOmegaRadii:
@@ -328,7 +349,7 @@ class TestOmegaRadii:
         assert radii.omega2 == pytest.approx(expect2, rel=1e-12)
 
     def test_infeasible_rho_rejected(self, demo_gains):
-        bad = AdaptiveParams(mu=100.0, nu=1.0, theta=1.0, chi=1.0, rho=100.0)
+        bad = AdaptiveParams(mu=100.0, nu=1.0, theta=1.0, chi=1.0)
         with pytest.raises(DesignError, match="omega2"):
             omega_radii(demo_gains, bad, demo_topology())
 
@@ -338,7 +359,6 @@ def test_gainset_rejects_low_c2():
         GainSet(
             p_mat=[[1.0]],
             k_mat=[[-1.0]],
-            gamma_mat=[[1.0]],
             c1=1.0,
             c2=0.5,
             lam2=2.0,

@@ -15,15 +15,9 @@ from avgtrack.clocksync import (
     ClockState,
     clock_law,
     clock_rates,
+    clock_spread,
 )
-from avgtrack.controllers import (
-    GainSet,
-    adaptive_control,
-    design_adaptive_params,
-    design_gains,
-    modified_control,
-    static_control,
-)
+from avgtrack.controllers import GainSet, design_adaptive_params, design_gains
 from avgtrack.engine import (
     RK4_STABILITY_LIMIT,
     Scenario,
@@ -51,6 +45,7 @@ from avgtrack.signals import (
 )
 
 from conftest import DEMO_CONFIG, DEMO_Q, demo_plant, demo_topology, ramped_sine_family
+from oracles import adaptive_control, modified_control, static_control
 
 RNG = np.random.default_rng(42)
 R0 = RNG.uniform(-1.0, 1.0, (6, 2))
@@ -62,7 +57,6 @@ def dummy_gains(n=1, p=1, k=None, c1=0.5, c2=0.0, eps=1.0, phi=0.0, agents=2):
     return GainSet(
         p_mat=np.eye(n),
         k_mat=k_mat,
-        gamma_mat=k_mat.T @ k_mat,
         c1=c1,
         c2=c2,
         lam2=1.0,
@@ -558,6 +552,42 @@ class TestLyapunov:
         )
         bound = np.exp(-g.gamma_rate * 10.0) * tr.v1[0] + g.c2 * deg_sum * g.eps * integral
         assert tr.v1[-1] <= bound
+
+
+class TestMetricsOverSamples:
+    """The metric functions take a leading sample axis, and run's per-sample
+    metrics are theirs."""
+
+    def test_stack_equals_each_sample(self):
+        rng = np.random.default_rng(12)
+        x, r = rng.normal(size=(2, 5, 4, 3))
+        alpha, beta = rng.normal(size=(2, 5, 6))
+        p_mat = np.diag([1.0, 2.0, 3.0])
+        xi, norm = consensus_error(x)
+        v2 = lyapunov_v2(x, p_mat, alpha, beta, 0.5, 2.0, 10.0, 5.0)
+        for k in range(5):
+            xi_k, norm_k = consensus_error(x[k])
+            assert np.array_equal(xi[k], xi_k) and norm[k] == norm_k
+            assert np.array_equal(tracking_error(x, r)[k], tracking_error(x[k], r[k]))
+            assert lyapunov_v1(x, p_mat)[k] == lyapunov_v1(x[k], p_mat)
+            assert v2[k] == lyapunov_v2(x[k], p_mat, alpha[k], beta[k], 0.5, 2.0, 10.0, 5.0)
+
+    def test_run_metrics_match_the_library(self, demo_gains):
+        adapt = design_adaptive_params(demo_gains, 10.0, 10.0, 0.01, 0.01)
+        offsets = np.array([0.3, -0.1, 0.2, 0.0, -0.25, 0.15])
+        tr = run(demo_static_scenario(
+            demo_gains, controller="adaptive", adapt=adapt, clocks0=offsets, horizon=0.5
+        ))
+        xi, norm = consensus_error(tr.x)
+        assert np.array_equal(tr.xi, xi) and np.array_equal(tr.xi_norm, norm)
+        assert np.array_equal(tr.clock_spread, clock_spread(tr.clocks))
+        v1 = lyapunov_v1(tr.xi, demo_gains.p_mat)
+        assert np.allclose(tr.v1, v1, rtol=1e-12, atol=1e-13)
+        v2 = lyapunov_v2(
+            tr.xi, demo_gains.p_mat, tr.alpha, tr.beta,
+            demo_gains.c1_floor, demo_gains.c2_floor, adapt.mu, adapt.nu,
+        )
+        assert np.allclose(tr.v2, v2, rtol=1e-12, atol=1e-13)
 
 
 class TestDecayCheck:

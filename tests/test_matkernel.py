@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import expm, solve_continuous_are
 
 from conftest import DEMO_CONFIG
+from oracles import pbh_rank_real
 
 from avgtrack.errors import DesignError, NumericalError
 from avgtrack.matkernel import (
@@ -12,7 +13,6 @@ from avgtrack.matkernel import (
     as_matrix,
     is_hurwitz,
     is_stabilizable,
-    pbh_rank_real,
     solve_care,
     solve_lyapunov,
     sym_eigen,
