@@ -27,6 +27,9 @@ from .signals import ConstantInput, InputFamily, Plant, SinusoidInput, ZeroInput
 
 SEED_ENV_VAR = "AVGTRACK_SEED"
 
+# past 2**53, horizon / step is no longer a whole step count in a float
+_MAX_STEPS = 2.0**53
+
 _TOP_KEYS = {
     "plant",
     "Q",
@@ -441,8 +444,7 @@ def _sync_pre_phase(bundle: ScenarioBundle):
             f"clock synchronization did not settle below {bundle.sync_tol}"
         )
     # hand the tracking phase exactly equal clocks at the settled value
-    common = float(result.final.mean())
-    return np.full(bundle.topology.vertex_count, common), info
+    return np.full(bundle.topology.vertex_count, result.handover), info
 
 
 def _simulate(config_path, out_dir, directions, horizon=None, step=None):
@@ -452,6 +454,10 @@ def _simulate(config_path, out_dir, directions, horizon=None, step=None):
         horizon = _number(horizon, "--horizon", nonnegative=True)
     if step is not None:
         step = _number(step, "--step", positive=True)
+    length_key = (
+        "--horizon" if horizon is not None else "--step" if step is not None
+        else "integrator.horizon"
+    )
     bundle = ScenarioBundle(load_config(config_path))
     gains, adapt = bundle.design()
     sync_info = clocks0 = None
@@ -463,8 +469,13 @@ def _simulate(config_path, out_dir, directions, horizon=None, step=None):
             gains, adapt, horizon=horizon, step=step, discontinuous=discontinuous,
             clocks0=clocks0,
         )
+        if scenario.horizon / scenario.step > _MAX_STEPS:
+            raise ConfigError(
+                f"{length_key}: {scenario.horizon:g} s in steps of {scenario.step:g} s "
+                f"is past float resolution (more than 2**53 steps)"
+            )
         samples = scenario.steps // scenario.sample_every + 1
-        with _stored("integrator.horizon", f"{samples} trace samples"):
+        with _stored(length_key, f"{samples} trace samples"):
             traces.append(run(scenario))
 
     out = Path(out_dir) if out_dir is not None else bundle.out_dir

@@ -17,7 +17,7 @@ kept as an independent reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,11 +111,18 @@ class SyncResult:
     times: np.ndarray  # sample instants, shape (S,)
     clocks: np.ndarray  # clock readings, shape (S, N)
     settled_at: float | None
-    final: np.ndarray  # clock readings at the end of the phase
+    horizon: float  # the phase's length in whole steps, whether or not stepping stopped early
 
     @property
     def spreads(self) -> np.ndarray:
         return clock_spread(self.clocks)
+
+    @property
+    def handover(self) -> float:
+        """Common clock at the end of the phase, mean(initial) + horizon: each
+        edge's coupling is antisymmetric, so the mean clock runs at rate 1 and
+        this is where the full-horizon trajectory's mean ends, less roundoff."""
+        return float(self.clocks[0].mean() + self.horizon)
 
 
 def run_sync(
@@ -126,21 +133,26 @@ def run_sync(
     step: float = 1e-5,
     horizon: float | None = None,
 ) -> SyncResult:
-    """Integrate the clock dynamics until the spread settles below tol.
+    """Integrate the clock dynamics until the spread reaches its
+    discretization floor.
 
     Classical fourth-order steps of clock_law at the given size; the
     horizon defaults to a generous multiple of the worst-offset settling
-    estimate. Returns the full trajectory so settling can be audited;
-    ``settled_at`` is None when the spread never stayed below tol (e.g. the
-    literal-plus convention).
+    estimate. The discrete dynamics park on a residual limit cycle of
+    spread roughly 2 * step^2 around the synchronized manifold, so the step
+    must satisfy 2 * step^2 < tol (the default pairs with tol = 1e-9), and
+    stepping stops at the first step whose spread is at or below 2 * step^2:
+    from there on the spread stays below tol. A spread that never gets there
+    (the literal-plus convention) is stepped to the horizon.
 
-    The discrete dynamics park on a residual limit cycle of spread roughly
-    2 * step^2 around the synchronized manifold, so the step must satisfy
-    2 * step^2 < tol; the default pairs with tol = 1e-9.
+    Returns the trajectory up to the last step taken, so settling can be
+    audited; ``settled_at`` is None when the spread never stayed below tol.
+    ``handover`` is the common clock at the horizon either way.
     """
     if tol <= 0.0 or step <= 0.0:
         raise ValueError("tol and step must be positive")
-    if 2.0 * step * step >= tol:
+    floor = 2.0 * step * step
+    if floor >= tol:
         raise ValueError(
             f"step {step} too coarse for tol {tol}: the residual spread of the "
             f"discretized dynamics is about 2*step^2"
@@ -158,16 +170,24 @@ def run_sync(
     sources, targets = topology.arcs()
 
     steps = int(round(horizon / step))
+    # sized for the whole horizon, so that a horizon too long to store fails
+    # here; rows past the stop are never written, so never resident
     out_c = np.empty((steps + 1, n))
     out_c[0] = times0
-    clk = times0.copy()
-    for k in range(steps):
+    clk = times0
+    k = 0
+    while k < steps and clock_spread(clk) > floor:
         clk = rk4(clock_law, k * step, clk, step, sigma, sources, targets)
-        out_c[k + 1] = clk
-    result = SyncResult(
-        times=np.arange(steps + 1) * step, clocks=out_c, settled_at=None, final=clk
+        k += 1
+        out_c[k] = clk
+    times = np.arange(k + 1) * step
+    clocks = out_c[: k + 1]
+    return SyncResult(
+        times=times,
+        clocks=clocks,
+        settled_at=settling_time(times, clock_spread(clocks), tol),
+        horizon=steps * step,
     )
-    return replace(result, settled_at=settling_time(result.times, result.spreads, tol))
 
 
 def settling_time(times, spreads, tol: float) -> float | None:

@@ -37,13 +37,14 @@ class GainSet:
 
     With K = -B^T P the quadratic-form matrix Gamma = P B B^T P is K^T K,
     derived from k_mat. The lower bounds c1 >= 1/(2*lambda2) and
-    c2 >= f0*(N-1)*sqrt(N) are enforced at construction.
+    c2 >= f0*(N-1)*sqrt(N) are enforced at construction; c1 or c2 given as
+    None is set to its bound.
     """
 
     p_mat: np.ndarray
     k_mat: np.ndarray
-    c1: float
-    c2: float
+    c1: float | None
+    c2: float | None
     lam2: float
     f0: float
     gamma_rate: float
@@ -60,6 +61,10 @@ class GainSet:
             raise ValueError("lambda2 and gamma_rate must be positive")
         if self.f0 < 0.0:
             raise ValueError("f0 must be nonnegative")
+        if self.c1 is None:
+            object.__setattr__(self, "c1", self.c1_floor)
+        if self.c2 is None:
+            object.__setattr__(self, "c2", self.c2_floor)
         if self.c1 < self.c1_floor - _GAIN_ATOL:
             raise DesignError(
                 f"c1 = {self.c1} below the admissible floor 1/(2*lambda2) = {self.c1_floor}"
@@ -168,8 +173,8 @@ def design_gains(
     return GainSet(
         p_mat=p_mat,
         k_mat=k_mat,
-        c1=1.0 / (2.0 * lam2) if c1 is None else float(c1),
-        c2=f0 * (n_agents - 1) * np.sqrt(n_agents) if c2 is None else float(c2),
+        c1=None if c1 is None else float(c1),
+        c2=None if c2 is None else float(c2),
         lam2=lam2,
         f0=f0,
         gamma_rate=gamma_rate,

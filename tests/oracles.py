@@ -1,6 +1,7 @@
 """Per-agent reference implementations of the edge laws and of the real
 PBH rank test, kept as independent oracles for the compiled engine and the
-complex PBH test in the package.
+complex PBH test in the package, and the clock-sync pre-phase stepped to its
+full horizon, the oracle for the sync's stop rule.
 
 Each law is written agent by agent and edge by edge, straight from its
 formula, so the tests can check the engine's fused and edge-indexed
@@ -9,9 +10,10 @@ operators against a path that shares none of their code.
 
 import numpy as np
 
+from avgtrack.clocksync import clock_law, clock_spread, coupling_sign
 from avgtrack.controllers import AdaptiveParams, GainSet
 from avgtrack.graph import Topology
-from avgtrack.matkernel import RANK_RTOL, as_matrix
+from avgtrack.matkernel import RANK_RTOL, as_matrix, rk4
 
 
 def neighbors(topology: Topology, i: int) -> list[int]:
@@ -168,3 +170,21 @@ def pbh_rank_real(a, b, sigma_re: float, omega_im: float) -> int:
     stacked = np.hstack([shifted @ shifted + omega_im**2 * np.eye(n), bm, shifted @ bm])
     sv = np.linalg.svd(stacked, compute_uv=False)
     return int(np.sum(sv > RANK_RTOL * sv[0]))
+
+
+def full_horizon_sync(topology: Topology, initial, convention: str, tol: float, step: float,
+                      horizon: float | None = None):
+    """Every RK4 step of the clock law up to the horizon, with no early stop:
+    (times (S,), clocks (S, N)). The horizon defaults as in run_sync."""
+    clk = np.asarray(initial, dtype=float)
+    if horizon is None:
+        horizon = max(1.0, 4.0 * np.sqrt(max(float(clock_spread(clk)), tol)))
+    sigma = coupling_sign(convention)
+    sources, targets = topology.arcs()
+    steps = int(round(horizon / step))
+    clocks = np.empty((steps + 1, clk.shape[0]))
+    clocks[0] = clk
+    for k in range(steps):
+        clk = rk4(clock_law, k * step, clk, step, sigma, sources, targets)
+        clocks[k + 1] = clk
+    return np.arange(steps + 1) * step, clocks

@@ -8,6 +8,7 @@ from avgtrack.clocksync import (
     ClockState,
     clock_law,
     clock_rates,
+    clock_spread,
     run_sync,
     settling_time,
     sig_half,
@@ -15,6 +16,7 @@ from avgtrack.clocksync import (
 from avgtrack.graph import Topology
 
 from conftest import demo_topology
+from oracles import full_horizon_sync
 
 PAIR = Topology(vertex_count=2, edges=((0, 1),))
 
@@ -97,6 +99,8 @@ class TestRunSync:
     def test_already_synchronized(self):
         result = run_sync(PAIR, np.zeros(2), tol=1e-9, step=1e-5, horizon=0.01)
         assert result.settled_at == 0.0
+        assert result.times.shape == (1,)
+        assert result.handover == pytest.approx(0.01, abs=1e-15)
 
     def test_two_agent_settling_matches_closed_form(self):
         # offset delta obeys d(delta)/dt = -2 sig_half(delta): settles at sqrt(delta0)
@@ -139,7 +143,8 @@ class TestRunSync:
         offsets = np.array([0.6, -0.2, 0.1, 0.0, -0.5, 0.3])
         result = run_sync(demo_topology(), offsets, tol=1e-6, step=1e-4, horizon=2.0)
         drift = result.clocks[-1].mean() - offsets.mean()
-        assert drift == pytest.approx(2.0, abs=1e-9)
+        assert drift == pytest.approx(result.times[-1], abs=1e-9)
+        assert result.handover == pytest.approx(offsets.mean() + 2.0, abs=1e-9)
 
     def test_settles_below_default_tol_with_default_step(self):
         result = run_sync(PAIR, np.array([0.5, 0.0]), tol=1e-9)
@@ -149,8 +154,41 @@ class TestRunSync:
     def test_rates_stay_unit_after_settling(self):
         result = run_sync(PAIR, np.array([0.5, 0.0]), tol=1e-9, step=1e-5)
         assert result.settled_at is not None
-        state = ClockState(times=result.final)
+        state = ClockState(times=result.clocks[-1])
         assert np.allclose(clock_rates(state, PAIR), 1.0, atol=1e-4)
+
+
+# step 1e-4 keeps the full-horizon oracle short; its floor 2e-8 is below tol 1e-6
+_STOP_CASES = [np.random.default_rng(seed).uniform(-0.1, 0.1, 6) for seed in range(8)]
+
+
+class TestStopAtFloor:
+    @pytest.mark.parametrize(
+        "topology, offsets",
+        [(demo_topology(), offsets) for offsets in _STOP_CASES] + [(PAIR, np.array([0.1, 0.0]))],
+        ids=[f"six-seed{seed}" for seed in range(len(_STOP_CASES))] + ["pair"],
+    )
+    def test_settles_as_the_full_horizon(self, topology, offsets):
+        tol, step = 1e-6, 1e-4
+        result = run_sync(topology, offsets, tol=tol, step=step)
+        times, clocks = full_horizon_sync(topology, offsets, ATTRACTING, tol, step)
+        stop = result.times.shape[0] - 1
+        assert stop < times.shape[0] - 1
+        assert np.array_equal(result.clocks, clocks[: stop + 1])
+        assert result.settled_at is not None
+        assert result.settled_at == settling_time(times, clock_spread(clocks), tol)
+        assert np.all(clock_spread(clocks[stop:]) < tol)
+        assert result.handover == pytest.approx(clocks[-1].mean(), abs=1e-9)
+
+    def test_literal_convention_runs_to_the_horizon(self):
+        offsets = np.array([0.1, 0.0])
+        result = run_sync(
+            PAIR, offsets, convention=PAPER_LITERAL, tol=1e-6, step=1e-4, horizon=0.5
+        )
+        times, clocks = full_horizon_sync(PAIR, offsets, PAPER_LITERAL, 1e-6, 1e-4, horizon=0.5)
+        assert np.array_equal(result.times, times)
+        assert np.array_equal(result.clocks, clocks)
+        assert result.settled_at is None
 
 
 class TestSettlingTime:
