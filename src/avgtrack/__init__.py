@@ -5,7 +5,7 @@ finite-time clock synchronization, and a deterministic fixed-step simulation
 engine with a scenario-driven CLI.
 """
 
-from .clocksync import ClockState, clock_rates, run_sync, settling_time, sig_half
+from .clocksync import ClockState, run_sync, settling_time
 from .controllers import (
     AdaptiveParams,
     GainSet,
@@ -52,7 +52,6 @@ __all__ = [
     "Trace",
     "ZeroInput",
     "centering_matrix",
-    "clock_rates",
     "consensus_error",
     "decay_check",
     "design_adaptive_params",
@@ -69,7 +68,6 @@ __all__ = [
     "run",
     "run_sync",
     "settling_time",
-    "sig_half",
     "solve_care",
     "solve_lyapunov",
     "step_rk4",

@@ -8,11 +8,10 @@ The square-root term is not Lipschitz at zero, so a dead band treats
 offsets below 1e-12 as already synchronized to avoid limit cycling on the
 synchronized manifold.
 
-clock_law is the one production form of the law: the sync pre-phase steps
-it through matkernel.rk4, and the simulation engine takes the clock rows of
-its right-hand side from it (or, in its fused map, the per-edge coupling
-term edge_coupling). clock_rates is a per-edge loop over the same formula,
-kept as an independent reference.
+clock_law is the one form of the law: the sync pre-phase steps it through
+matkernel.rk4, and the simulation engine takes the clock rows of its
+right-hand side from it (or, in its fused map, the per-edge coupling term
+edge_coupling).
 """
 
 from __future__ import annotations
@@ -44,15 +43,6 @@ def clock_spread(clocks) -> np.ndarray:
     return clocks.max(axis=-1) - clocks.min(axis=-1)
 
 
-def sig_half(x):
-    """sign(x) * sqrt(|x|), elementwise."""
-    arr = np.asarray(x, dtype=float)
-    result = np.sign(arr) * np.sqrt(np.abs(arr))
-    if np.ndim(x) == 0:
-        return float(result)
-    return result
-
-
 @dataclass(frozen=True)
 class ClockState:
     """Local clock readings plus the coupling sign convention."""
@@ -72,36 +62,31 @@ class ClockState:
         return float(clock_spread(self.times))
 
 
-def clock_rates(state: ClockState, topology: Topology) -> np.ndarray:
-    """dt_i/dt = 1 + sigma * sum_j sig_half(t_i - t_j), sigma the
-    convention's coupling_sign."""
-    times = state.times
-    if times.shape[0] != topology.vertex_count:
-        raise ValueError("clock vector and topology disagree on the agent count")
-    sigma = coupling_sign(state.convention)
-    rates = np.ones(topology.vertex_count)
-    for i, j in topology.edges:
-        diff = times[i] - times[j]
-        if abs(diff) < DEAD_BAND:
-            continue
-        coupling = sig_half(diff)
-        rates[i] += sigma * coupling
-        rates[j] -= sigma * coupling
-    return rates
-
-
 def edge_coupling(diff: np.ndarray) -> np.ndarray:
-    """sig_half of clock differences t_i - t_j, zero inside the dead band."""
-    mag = np.abs(diff)
-    return np.where(mag < DEAD_BAND, 0.0, np.copysign(np.sqrt(mag), diff))
+    """sign(d) sqrt(|d|) of clock differences d = t_i - t_j, zero inside the
+    dead band, as a new array."""
+    out = np.abs(diff)
+    dead = out < DEAD_BAND
+    np.sqrt(out, out=out)
+    np.copysign(out, diff, out=out)
+    out[dead] = 0.0
+    return out
 
 
 def clock_law(t: float, clocks: np.ndarray, sigma: float, sources, targets) -> np.ndarray:
-    """dt_i/dt = 1 + sigma * sum_{j in N_i} sig_half(t_i - t_j), summed with
-    bincount over the arcs i -> j of Topology.arcs(). The law is autonomous:
-    t is there so that rk4 steps it as it is."""
-    coupling = edge_coupling(clocks[sources] - clocks[targets])
-    return 1.0 + sigma * np.bincount(sources, coupling, clocks.shape[0])
+    """dt_i/dt = 1 + sigma * sum_{j in N_i} edge_coupling(t_i - t_j), summed
+    with bincount over the arcs i -> j of Topology.arcs(), sigma being +1 or
+    -1 (coupling_sign). The law is autonomous: t is there so that rk4 steps
+    it as it is. Returns a new array, which rk4 may overwrite."""
+    # t_j - t_i is -(t_i - t_j) exactly and edge_coupling is odd, so for
+    # sigma = -1 the sum over t_j - t_i is sigma times the sum, bit for bit,
+    # without a multiplication
+    first, second = (targets, sources) if sigma < 0.0 else (sources, targets)
+    diff = clocks[first]
+    diff -= clocks[second]
+    rates = np.bincount(sources, edge_coupling(diff), clocks.shape[0])
+    rates += 1.0
+    return rates
 
 
 @dataclass(frozen=True)
@@ -172,7 +157,10 @@ def run_sync(
     steps = int(round(horizon / step))
     # sized for the whole horizon, so that a horizon too long to store fails
     # here; rows past the stop are never written, so never resident
-    out_c = np.empty((steps + 1, n))
+    try:
+        out_c = np.empty((steps + 1, n))
+    except ValueError as exc:  # more rows than numpy can index
+        raise MemoryError(f"{steps + 1} rows of {n} clocks") from exc
     out_c[0] = times0
     clk = times0
     k = 0

@@ -33,6 +33,17 @@ there on RK4 steps everything else and the direction term takes a linearly
 implicit Euler step, the chattering-free discretisation of Acary and
 Brogliato (Systems & Control Letters, 2010). The adaptive law and the
 discontinuous direction w/||w|| keep explicit RK4 throughout.
+
+At small N a step's cost is the number of numpy calls, not arithmetic, so
+the step keeps that number low where the system allows: the fused map's
+input is written through fixed views of one array, and with equal clocks
+and one input wave "everything else" is an affine system, and
+the dense form takes its RK4 step as one product with a propagator, the
+step's polynomial in the drift, built once per step size (Hairer and
+Wanner, Solving ODEs II, IV.2); the edge form takes the same polynomial as
+four products with the drift. With equal clocks and one input channel the
+implicit matrix is written at fixed indices into one reused array, and
+the layer eps e^{-phi t} is one value for every edge.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ import numpy as np
 from .clocksync import ATTRACTING, clock_law, clock_spread, coupling_sign, edge_coupling
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
-from .graph import Topology, laplacian
+from .graph import Topology, is_connected, laplacian
 from .matkernel import is_hurwitz, rk4
 from .signals import InputFamily, Plant
 
@@ -205,6 +216,7 @@ class _Dynamics:
 
         self.tails, self.heads = tails, heads = topo.tails, topo.heads
         self.arcs = topo.arcs()
+        self.connected = is_connected(topo)
         lap = laplacian(topo)
 
         self.dense = dim <= DENSE_MAX_DIM
@@ -252,6 +264,20 @@ class _Dynamics:
                 [tails * n_agents + tails, tails * n_agents + heads,
                  heads * n_agents + tails, heads * n_agents + heads]
             )
+            if self.single_channel:
+                # _implicit_matrix's equal-clock buffers: [f | f] for the two
+                # ends of every edge, and the matrix with the indices it
+                # writes, the (t,h) and (h,t) entries, then the diagonal;
+                # every other entry stays zero
+                self._kb1 = float(self.kb[0, 0])
+                self._f_ends = np.empty(2 * n_edges)
+                self._f_halves = (self._f_ends[:n_edges], self._f_ends[n_edges:])
+                self._lhs = np.zeros((n_agents, n_agents))
+                self._lhs_flat = self._lhs.reshape(-1)
+                self._lhs_diag = self._lhs_flat[:: n_agents + 1]
+                self._off_index = np.concatenate(
+                    (tails * n_agents + heads, heads * n_agents + tails)
+                )
             if self.dense:
                 self.gather_w = self.gather[self.i_w]
                 # [y | zero direction and clock coupling slots | 1], see _affine
@@ -260,9 +286,13 @@ class _Dynamics:
                 # matmul, unlike ndarray.dot, multiplies by this column slice
                 # of out_map in place instead of copying it
                 self._drift = self.out_map[:, :dim]
-            # Rows 0-3: D^j (D y + c) for the step at hand; rows 4-7: D^j a,
-            # with D the drift, c the affine column and a the input wave's
-            # amplitude (see _affine_rk4).
+                # [y | 1 | wave weights], the input of _propagator's map
+                self._prop_in = np.zeros(dim + 5)
+                self._prop_in[dim] = 1.0
+                self._prop_dt = None
+            # Rows 0-3 (edge form): D^j (D y + c) for the step at hand; rows
+            # 4-7: D^j a, with D the drift, c the affine column and a the
+            # input wave's amplitude (see _affine_rk4).
             self._powers = np.zeros((8, dim))
             if self.has_wave:
                 self._powers[4] = self.in_amp
@@ -347,7 +377,15 @@ class _Dynamics:
         self.sb = sb
         self.out_map = out_map
         self.const = out_map[:, -1]
-        self._one = np.ones(1)
+        # [y | z | 1], out_map's input, rewritten through fixed views on each
+        # evaluation: at small N that costs a fraction of one np.concatenate
+        self._stacked = np.zeros(out_map.shape[1])
+        self._stacked[-1] = 1.0
+        widths = [dim, n_edges * p, n_edges * p, n_edges] + [n_edges] * (2 * self.adaptive)
+        ends = np.cumsum(widths)
+        self._stacked_parts = tuple(
+            self._stacked[end - width : end] for end, width in zip(ends, widths)
+        )
 
     def _compile_edges(self, sc: Scenario):
         """Edge-indexed form: index arrays and the per-agent matrices, no
@@ -455,10 +493,16 @@ class _Dynamics:
     def _direction_coeffs(self, y, nrm, synced):
         """Per-edge reciprocal denominators at the tail and head clocks;
         synced says both ends of every edge read the same time, so the two
-        are one array. The discontinuous direction and a zero layer
+        are one array, and on a connected graph every agent reads it, so the
+        layer is one value. The discontinuous direction and a zero layer
         (eps = 0), its limit, take 1/||w||, set to zero where w = 0."""
         if self.discontinuous or self.eps == 0.0:
             inv = np.divide(1.0, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
+            return inv, inv
+        if synced and self.connected:
+            # np.exp, not math.exp, whose last bits differ from the array
+            # form's below
+            inv = 1.0 / (nrm + self.eps * np.exp(-self.phi * y[self.sl_c.start]))
             return inv, inv
         lay = self.eps * np.exp(-self.phi * y[self.sl_c])
         inv_t = 1.0 / (nrm + lay[self.tails])
@@ -527,20 +571,13 @@ class _Dynamics:
             alpha, beta = y[self.sl_a], y[self.sl_b]
             a_scale = self._edge_scale(alpha)
             b_scale = self._edge_scale(beta)
-            stacked = np.concatenate(
-                [
-                    y,
-                    a_scale * w + b_scale * dir_t,
-                    a_scale * w + b_scale * dir_h,
-                    sig,
-                    quad,
-                    source,
-                    self._one,
-                ]
-            )
+            parts = (y, a_scale * w + b_scale * dir_t, a_scale * w + b_scale * dir_h, sig,
+                     quad, source)
         else:
-            stacked = np.concatenate([y, dir_t, dir_h, sig, self._one])
-        return self._add_inputs(t, self.out_map.dot(stacked))
+            parts = (y, dir_t, dir_h, sig)
+        for view, part in zip(self._stacked_parts, parts):
+            view[...] = part
+        return self._add_inputs(t, self.out_map.dot(self._stacked))
 
     # -- past the resolution limit -------------------------------------------
 
@@ -571,38 +608,68 @@ class _Dynamics:
         affine, y' = D y + c + a sin(omega t + phase), and the step is a
         polynomial in D:
 
-            y + sum_{j=1..4} dt^j / j! D^{j-1} (D y + c)
-              + dt/6 (s0 + 4 sm + s1) a + dt^2/6 (s0 + 2 sm) D a
-              + dt^3/12 (s0 + sm) D^2 a + dt^4/24 s0 D^3 a,
+            M y + m + dt/6 (s0 + 4 sm + s1) a + dt^2/6 (s0 + 2 sm) D a
+                    + dt^3/12 (s0 + sm) D^2 a + dt^4/24 s0 D^3 a,
 
-        with s0, sm, s1 the wave at t, t + dt/2 and t + dt. That is four
-        products with D in place of four stage evaluations.
+            M = sum_{j=0..4} (dt D)^j / j!,  m = sum_{j=1..4} dt^j / j! D^{j-1} c,
+
+        with s0, sm, s1 the wave at t, t + dt/2 and t + dt. The dense form
+        multiplies by that propagator (_propagator), one matrix-vector
+        product in place of four stage evaluations. The edge form, whose M
+        would be a dense dim x dim matrix, writes M y + m as
+        y + sum_{j=1..4} dt^j / j! D^{j-1} (D y + c) and takes the four
+        products with D.
         """
-        powers = self._powers
-        self._affine(y, powers[0])
-        for j in range(1, 4):
-            self._linear(powers[j - 1], powers[j])
         h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
         s0 = sm = s1 = 0.0
         if self.has_wave:
             s0 = math.sin(self.wave_omega * t + self.wave_phase)
             sm = math.sin(self.wave_omega * (t + 0.5 * dt) + self.wave_phase)
             s1 = math.sin(self.wave_omega * (t + dt) + self.wave_phase)
-        coef = np.array(
-            [
-                dt, h2 / 2.0, h3 / 6.0, h4 / 24.0,
-                dt / 6.0 * (s0 + 4.0 * sm + s1), h2 / 6.0 * (s0 + 2.0 * sm),
-                h3 / 12.0 * (s0 + sm), h4 / 24.0 * s0,
-            ]
+        wave = (
+            dt / 6.0 * (s0 + 4.0 * sm + s1), h2 / 6.0 * (s0 + 2.0 * sm),
+            h3 / 12.0 * (s0 + sm), h4 / 24.0 * s0,
         )
+        if self.dense:
+            z = self._prop_in
+            z[: self.dim] = y
+            z[self.dim + 1 :] = wave
+            return self._propagator(dt).dot(z)
+        powers = self._powers
+        self._affine(y, powers[0])
+        for j in range(1, 4):
+            self._linear(powers[j - 1], powers[j])
+        coef = np.array([dt, h2 / 2.0, h3 / 6.0, h4 / 24.0, *wave])
         return y + coef.dot(powers)
+
+    def _propagator(self, dt: float) -> np.ndarray:
+        """Dense form: [M | m | a | D a | D^2 a | D^3 a] of _affine_rk4 at
+        step dt, built on the first call with that dt."""
+        if dt != self._prop_dt:
+            dim, drift = self.dim, self._drift
+            term = np.eye(dim)
+            m_mat = np.eye(dim)
+            vec = dt * self.const
+            m_vec = vec.copy()
+            for j in range(1, 5):
+                term = (dt / j) * (drift @ term)  # (dt D)^j / j!
+                m_mat += term
+                if j < 4:
+                    vec = (dt / (j + 1)) * (drift @ vec)  # dt^(j+1) D^j c / (j+1)!
+                    m_vec += vec
+            self._prop = np.hstack((m_mat, m_vec[:, None], self._powers[4:].T))
+            self._prop_dt = dt
+        return self._prop
 
     def implicit_step(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         """One step from (t, y) once RK4 no longer resolves the layer.
 
-        RK4 advances everything but the c2-weighted direction term to y*.
-        The direction term then takes one linearly implicit Euler step with
-        each edge's denominator ||w_e|| + eps e^{-phi t} frozen at y. With
+        RK4 advances everything but the c2-weighted direction term to y*:
+        with equal clocks and one input wave that system is affine and the
+        step is _affine_rk4's polynomial, otherwise four stages of
+        without_direction. The direction term then takes one linearly
+        implicit Euler step with each edge's denominator
+        ||w_e|| + eps e^{-phi t} frozen at y. With
         f = dt c2 / denominator at the tail and head clocks and
         W = Dp diag(f_t) - Dm diag(f_h), the term adds (I kron B) v to s,
         where v = (W kron I_p) w(x* + (I kron B) v) and w(x) = (D^T kron K) x
@@ -616,7 +683,7 @@ class _Dynamics:
         average. W D^T is the Laplacian of a weighted digraph (zero row
         sums, spectrum in the closed right half-plane) and
         K B = -B^T P B <= 0, so the matrix is nonsingular for any dt; with
-        equal clocks it is symmetric positive definite.
+        equal clocks it is symmetric positive definite (_implicit_matrix).
         """
         n_agents, p, n_edges = self.n_agents, self.p, self.n_edges
         _, dclk, nrm, _ = self._edge_terms(y)
@@ -631,24 +698,47 @@ class _Dynamics:
 
         f_t = (dt * self.c2) * inv_t
         f_h = f_t if synced else (dt * self.c2) * inv_h
+        lhs = self._implicit_matrix(f_t, f_h, synced)
+        w = self._gather_w(y_next)
+        tail = (self._edge_scale(f_t) * w).reshape(n_edges, p)
+        head = tail if synced else (self._edge_scale(f_h) * w).reshape(n_edges, p)
+        rhs = self._scatter(tail, head)
+        s_next = y_next[self.sl_s]
+        s_next += self._apply_b(np.linalg.solve(lhs, rhs.ravel()))
+        return y_next
+
+    def _implicit_matrix(self, f_t, f_h, synced):
+        """I - (W D^T) kron (K B) of implicit_step, W = Dp diag(f_t) - Dm diag(f_h).
+
+        With equal clocks and one input channel W D^T is the Laplacian
+        weighted by f: the matrix is f kb at each edge's (t,h) and (h,t)
+        entries and 1 - kb (sum of f over the edges at each agent) on the
+        diagonal, written at fixed indices into one array that the next
+        call overwrites. Fresh N^2 arrays, page-faulted in anew each step,
+        cost 17 times the arithmetic at N = 200. Otherwise W D^T is summed
+        with bincount over each edge's four entries.
+        """
+        n_agents = self.n_agents
+        if synced and self.single_channel:
+            kb, f_ends = self._kb1, self._f_ends
+            for half in self._f_halves:
+                half[...] = f_t
+            self._lhs_flat[self._off_index] = f_ends * kb
+            diag = np.bincount(self.arcs[0], f_ends, n_agents)
+            diag *= -kb
+            np.add(diag, 1.0, out=self._lhs_diag)
+            return self._lhs
         node = np.bincount(
             self.pair_index, np.concatenate((f_t, -f_t, -f_h, f_h)), n_agents * n_agents
         ).reshape(n_agents, n_agents)
-        # I - node kron (K B), built in place: at N = 200, fresh (N p)^2
-        # temporaries, page-faulted in anew each step, cost 17 times the
-        # arithmetic
+        # I - node kron (K B), built in place
         if self.single_channel:
             lhs = node
             lhs *= -self.kb[0, 0]
         else:
             lhs = np.kron(node, -self.kb)
         lhs += self._eye
-        w = self._gather_w(y_next)
-        tail = (self._edge_scale(f_t) * w).reshape(n_edges, p)
-        head = tail if synced else (self._edge_scale(f_h) * w).reshape(n_edges, p)
-        rhs = self._scatter(tail, head)
-        y_next[self.sl_s] += self._apply_b(np.linalg.solve(lhs, rhs.ravel()))
-        return y_next
+        return lhs
 
     def controls(self, t: float, y: np.ndarray) -> np.ndarray:
         """Stacked control inputs u (N, p) at the given state."""

@@ -136,13 +136,30 @@ def is_stabilizable(a, b) -> bool:
 
 def rk4(f, t: float, y: np.ndarray, dt: float, *args) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step of y' = f(t, y, *args)
-    from (t, y) to t + dt."""
+    from (t, y) to t + dt, y + dt/6 (k1 + 2 (k2 + k3) + k4).
+
+    The combination is summed in place into the arrays f returned, so f
+    must return an array that nothing else holds, such as a new one on every
+    call: rk4 may overwrite it, and returns one of them.
+    """
     half = 0.5 * dt
     k1 = f(t, y, *args)
-    k2 = f(t + half, y + half * k1, *args)
-    k3 = f(t + half, y + half * k2, *args)
-    k4 = f(t + dt, y + dt * k3, *args)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    stage = k1 * half
+    stage += y
+    k2 = f(t + half, stage, *args)
+    stage = k2 * half
+    stage += y
+    k3 = f(t + half, stage, *args)
+    stage = k3 * dt
+    stage += y
+    k4 = f(t + dt, stage, *args)
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y
+    return k2
 
 
 def _care_residual(p, a, b, q) -> np.ndarray:

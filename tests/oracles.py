@@ -1,16 +1,19 @@
-"""Per-agent reference implementations of the edge laws and of the real
-PBH rank test, kept as independent oracles for the compiled engine and the
-complex PBH test in the package, and the clock-sync pre-phase stepped to its
-full horizon, the oracle for the sync's stop rule.
+"""Per-agent reference implementations of the edge laws, of the clock law
+and of the real PBH rank test, kept as independent oracles for the compiled
+engine, clocksync.clock_law and the complex PBH test in the package, and the
+clock-sync pre-phase stepped to its full horizon, the oracle for the sync's
+stop rule.
 
 Each law is written agent by agent and edge by edge, straight from its
 formula, so the tests can check the engine's fused and edge-indexed
 operators against a path that shares none of their code.
 """
 
+import math
+
 import numpy as np
 
-from avgtrack.clocksync import clock_law, clock_spread, coupling_sign
+from avgtrack.clocksync import DEAD_BAND, ClockState, clock_law, clock_spread, coupling_sign
 from avgtrack.controllers import AdaptiveParams, GainSet
 from avgtrack.graph import Topology
 from avgtrack.matkernel import RANK_RTOL, as_matrix, rk4
@@ -188,3 +191,88 @@ def full_horizon_sync(topology: Topology, initial, convention: str, tol: float, 
         clk = rk4(clock_law, k * step, clk, step, sigma, sources, targets)
         clocks[k + 1] = clk
     return np.arange(steps + 1) * step, clocks
+
+
+def sig_half(x):
+    """sign(x) * sqrt(|x|), elementwise."""
+    arr = np.asarray(x, dtype=float)
+    result = np.sign(arr) * np.sqrt(np.abs(arr))
+    if np.ndim(x) == 0:
+        return float(result)
+    return result
+
+
+def clock_rates(state: ClockState, topology: Topology) -> np.ndarray:
+    """dt_i/dt = 1 + sigma * sum_j sig_half(t_i - t_j), sigma the
+    convention's coupling_sign: the clock law edge by edge, with the dead
+    band, against clocksync.clock_law."""
+    times = state.times
+    if times.shape[0] != topology.vertex_count:
+        raise ValueError("clock vector and topology disagree on the agent count")
+    sigma = coupling_sign(state.convention)
+    rates = np.ones(topology.vertex_count)
+    for i, j in topology.edges:
+        diff = times[i] - times[j]
+        if abs(diff) < DEAD_BAND:
+            continue
+        coupling = sig_half(diff)
+        rates[i] += sigma * coupling
+        rates[j] -= sigma * coupling
+    return rates
+
+
+def implicit_matrix_bincount(topology: Topology, kb, f_t, f_h) -> np.ndarray:
+    """I - (W D^T) kron (K B), W = Dp diag(f_t) - Dm diag(f_h), summed with
+    one bincount over each edge's (t,t), (t,h), (h,t), (h,h) entries into a
+    fresh N x N array: the implicit step's matrix before its fixed-index
+    build, with the same summation order."""
+    n = topology.vertex_count
+    tails, heads = topology.tails, topology.heads
+    pair_index = np.concatenate(
+        [tails * n + tails, tails * n + heads, heads * n + tails, heads * n + heads]
+    )
+    node = np.bincount(
+        pair_index, np.concatenate((f_t, -f_t, -f_h, f_h)), n * n
+    ).reshape(n, n)
+    kb = np.asarray(kb, dtype=float)
+    if kb.shape == (1, 1):
+        lhs = node
+        lhs *= -kb[0, 0]
+    else:
+        lhs = np.kron(node, -kb)
+    lhs += np.eye(lhs.shape[0])
+    return lhs
+
+
+def affine_rk4_recursion(dyn, t: float, y, dt: float) -> np.ndarray:
+    """The RK4 step of an equal-clock, one-wave _Dynamics without its
+    direction term as the polynomial in the drift D, formed by repeated
+    products with D:
+
+        y + sum_{j=1..4} dt^j / j! D^{j-1} (D y + c)
+          + dt/6 (s0 + 4 sm + s1) a + dt^2/6 (s0 + 2 sm) D a
+          + dt^3/12 (s0 + sm) D^2 a + dt^4/24 s0 D^3 a,
+
+    c the affine column, a the wave's amplitude and s0, sm, s1 the wave at
+    t, t + dt/2 and t + dt."""
+    powers = np.zeros((8, dyn.dim))
+    dyn._affine(y, powers[0])
+    for j in range(1, 4):
+        dyn._linear(powers[j - 1], powers[j])
+    s0 = sm = s1 = 0.0
+    if dyn.has_wave:
+        powers[4] = dyn.in_amp
+        for j in range(5, 8):
+            dyn._linear(powers[j - 1], powers[j])
+        omega, phase = dyn.wave_omega, dyn.wave_phase
+        s0 = math.sin(omega * t + phase)
+        sm = math.sin(omega * (t + 0.5 * dt) + phase)
+        s1 = math.sin(omega * (t + dt) + phase)
+    coef = np.array(
+        [
+            dt, dt**2 / 2.0, dt**3 / 6.0, dt**4 / 24.0,
+            dt / 6.0 * (s0 + 4.0 * sm + s1), dt**2 / 6.0 * (s0 + 2.0 * sm),
+            dt**3 / 12.0 * (s0 + sm), dt**4 / 24.0 * s0,
+        ]
+    )
+    return y + coef.dot(powers)

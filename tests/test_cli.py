@@ -166,6 +166,17 @@ class TestExitCodes:
         assert err.startswith("schema-error: clock_sync.initial_offsets")
         assert len(err.strip().splitlines()) == 1
 
+    def test_unindexable_clock_sync_is_one(self, tmp_path, capsys):
+        # a spread of 1e30 asks for 4e20 rows, past what numpy can index
+        doc = json.loads(STATIC_CONFIG.read_text())
+        doc["clock_sync"]["initial_offsets"] = [1e30, 0, 0, 0, 0, 0]
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema-error: clock_sync.initial_offsets: ")
+        assert "do not fit in memory" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unstorable_trace_is_one(self, tmp_path, capsys):
         doc = json.loads(STATIC_CONFIG.read_text())
         doc["clock_sync"]["enabled"] = False

@@ -7,16 +7,14 @@ from avgtrack.clocksync import (
     DEAD_BAND,
     ClockState,
     clock_law,
-    clock_rates,
     clock_spread,
     run_sync,
     settling_time,
-    sig_half,
 )
 from avgtrack.graph import Topology
 
 from conftest import demo_topology
-from oracles import full_horizon_sync
+from oracles import clock_rates, full_horizon_sync, sig_half
 
 PAIR = Topology(vertex_count=2, edges=((0, 1),))
 

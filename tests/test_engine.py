@@ -14,7 +14,6 @@ from avgtrack.clocksync import (
     PAPER_LITERAL,
     ClockState,
     clock_law,
-    clock_rates,
     clock_spread,
 )
 from avgtrack.controllers import GainSet, design_adaptive_params, design_gains
@@ -45,7 +44,14 @@ from avgtrack.signals import (
 )
 
 from conftest import DEMO_CONFIG, DEMO_Q, demo_plant, demo_topology, ramped_sine_family
-from oracles import adaptive_control, modified_control, static_control
+from oracles import (
+    adaptive_control,
+    affine_rk4_recursion,
+    clock_rates,
+    implicit_matrix_bincount,
+    modified_control,
+    static_control,
+)
 
 RNG = np.random.default_rng(42)
 R0 = RNG.uniform(-1.0, 1.0, (6, 2))
@@ -336,7 +342,6 @@ def independent_rhs(sc, adapt):
     """Stacked derivative assembled from the per-agent control API, the
     per-agent reference derivative, and the clock-rate function: a formula
     path fully independent of the compiled engine."""
-    from avgtrack.clocksync import ClockState, clock_rates
     from avgtrack.signals import reference_derivative
 
     topo, plant, gains = sc.topology, sc.plant, sc.gains
@@ -1065,6 +1070,89 @@ class TestOneClockLaw:
             assert np.all(dyn.without_direction(0.7, y, False)[dyn.sl_c] == 1.0)
         for row in rows:
             assert np.max(np.abs(row - reference)) <= 1e-14
+
+
+def ring_plus_chords(agents, seed):
+    """A ring on the agents (one edge for two) plus up to agents // 2
+    seeded chords."""
+    if agents == 2:
+        return Topology(vertex_count=2, edges=((0, 1),))
+    spare = agents * (agents - 1) // 2 - agents
+    return seeded_ring(agents, min(agents // 2, spare), seed)
+
+
+class TestStepPieces:
+    """The pieces of the implicit step against the forms they replaced:
+    the fixed-index matrix against one bincount over each edge's four
+    entries, the propagator against repeated products with the drift, and
+    the one equal-clock layer against the per-agent exponential."""
+
+    @pytest.mark.parametrize("agents", range(2, 51))
+    def test_fixed_index_matrix_is_the_bincount_build(self, agents):
+        topo = ring_plus_chords(agents, seed=agents)
+        fam = InputFamily(specs=(SinusoidInput(amplitude=(1.0,)),) * agents, input_dim=1)
+        gains = design_gains(demo_plant(), topo, fam, DEMO_Q, eps=5.0, phi=0.5)
+        sc = Scenario(
+            plant=demo_plant(), topology=topo, family=fam, controller="static", gains=gains
+        )
+        dyn = _Dynamics(sc)
+        rng = np.random.default_rng(agents)
+        # two draws through the one reused array: no entry of the first stays
+        for scale in (1e-3, 1e2):
+            f = scale * rng.uniform(0.0, 1.0, topo.edge_count)
+            lhs = dyn._implicit_matrix(f, f, True)
+            assert np.array_equal(lhs, implicit_matrix_bincount(topo, dyn.kb, f, f))
+
+    @pytest.mark.parametrize("inputs", ["sine", "constant"])
+    def test_propagator_matches_the_recursion(self, demo_gains, inputs):
+        if inputs == "sine":
+            fam = InputFamily(
+                specs=tuple(
+                    SinusoidInput(amplitude=((i + 2) / 2.0,), omega=1.3, phase=0.4)
+                    for i in range(6)
+                ),
+                input_dim=1,
+            )
+        else:
+            fam = InputFamily(
+                specs=tuple(ConstantInput(value=(0.5 - 0.2 * i,)) for i in range(6)),
+                input_dim=1,
+            )
+        rng = np.random.default_rng(41)
+        sc = demo_static_scenario(
+            demo_gains,
+            family=fam,
+            r0=rng.uniform(-1.0, 1.0, (6, 2)),
+            s0=rng.uniform(-0.5, 0.5, (6, 2)),
+            clocks0=np.full(6, 12.0),
+        )
+        dyn = _Dynamics(sc)
+        assert dyn.dense and dyn.uniform_wave
+        assert dyn.has_wave is (inputs == "sine")
+        y = dyn.pack(sc.initial_state())
+        # the propagator is built per step size: change it and change it back
+        for t, dt in ((0.7, 1e-3), (3.1, 2.5e-4), (5.9, 1e-3)):
+            got = dyn._affine_rk4(t, y, dt)
+            expected = affine_rk4_recursion(dyn, t, y, dt)
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            y = got
+
+    @pytest.mark.parametrize("phi", [0.5, 0.0731])
+    def test_equal_clock_layer_is_the_per_agent_exponential(self, demo_gains, phi):
+        gains = dataclasses.replace(demo_gains, phi=phi)
+        sc = demo_static_scenario(gains)
+        dyn = _Dynamics(sc)
+        y = dyn.pack(sc.initial_state())
+        rng = np.random.default_rng(43)
+        nrm = rng.uniform(0.0, 2.0, dyn.n_edges)
+        nrm[0] = 0.0
+        clocks = np.concatenate((np.linspace(0.0, 80.0, 4001), rng.uniform(0.0, 400.0, 2000)))
+        for clock in clocks:
+            y[dyn.sl_c] = clock
+            inv, inv_h = dyn._direction_coeffs(y, nrm, True)
+            layer = gains.eps * np.exp(-gains.phi * y[dyn.sl_c])
+            assert inv_h is inv
+            assert np.array_equal(inv, 1.0 / (nrm + layer[dyn.tails]))
 
 
 class TestScaling:

@@ -6,11 +6,12 @@ import re
 import pytest
 
 import avgtrack
-from avgtrack import controllers, graph, matkernel
+from avgtrack import clocksync, controllers, graph, matkernel
 
 from conftest import REPO_ROOT
 
-# Per-agent oracles that live in tests/oracles.py, not in the package.
+# Per-agent and per-edge oracles that live in tests/oracles.py, not in the
+# package.
 ORACLES = (
     "static_control",
     "modified_control",
@@ -19,6 +20,8 @@ ORACLES = (
     "boundary_layer",
     "signum_dir",
     "pbh_rank_real",
+    "clock_rates",
+    "sig_half",
 )
 
 
@@ -30,7 +33,7 @@ def test_every_exported_name_resolves(name):
 @pytest.mark.parametrize("name", ORACLES)
 def test_oracles_are_not_in_the_package(name):
     assert name not in avgtrack.__all__
-    for module in (avgtrack, controllers, matkernel):
+    for module in (avgtrack, clocksync, controllers, matkernel):
         assert not hasattr(module, name)
 
 
