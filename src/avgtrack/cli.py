@@ -130,7 +130,9 @@ def _parse_input_spec(spec, where: str):
 
 
 def validate_config(doc: dict):
-    """Structural validation; raises ConfigError on any schema violation."""
+    """Structural validation: keys, the controller and the sections' types.
+    Values are checked where ScenarioBundle reads them. Raises ConfigError
+    on any schema violation."""
     _require_keys(doc, _TOP_KEYS, {"plant", "Q", "topology", "inputs", "controller"}, "config")
     _require_keys(doc["plant"], {"A", "B"}, {"A", "B"}, "plant")
     _require_keys(doc["topology"], {"vertices", "edges"}, {"vertices", "edges"}, "topology")
@@ -140,13 +142,7 @@ def validate_config(doc: dict):
         missing = [k for k in _ADAPTIVE_KEYS if k not in doc]
         if missing:
             raise ConfigError(f"adaptive controller requires key(s) {missing}")
-    inputs = doc["inputs"]
-    if isinstance(inputs, dict):
-        _parse_input_spec(inputs, "inputs")
-    elif isinstance(inputs, list):
-        for i, spec in enumerate(inputs):
-            _parse_input_spec(spec, f"inputs[{i}]")
-    else:
+    if not isinstance(doc["inputs"], (dict, list)):
         raise ConfigError("inputs must be an object or a per-agent list")
     if "clock_sync" in doc:
         _require_keys(
@@ -155,9 +151,6 @@ def validate_config(doc: dict):
             {"enabled"},
             "clock_sync",
         )
-        convention = doc["clock_sync"].get("convention", ATTRACTING)
-        if convention not in (ATTRACTING, PAPER_LITERAL):
-            raise ConfigError(f"clock_sync.convention must be {ATTRACTING} or {PAPER_LITERAL}")
     if "integrator" in doc:
         _require_keys(doc["integrator"], {"step", "horizon", "stride"}, set(), "integrator")
     if "initial" in doc:
@@ -166,8 +159,6 @@ def validate_config(doc: dict):
         _require_keys(doc["output"], {"dir"}, set(), "output")
         if not isinstance(doc["output"].get("dir", ""), str):
             raise ConfigError("output.dir must be a string")
-    if "seed" in doc and (isinstance(doc["seed"], bool) or not isinstance(doc["seed"], int)):
-        raise ConfigError("seed must be an integer")
 
 
 def _matrix(doc_value, where: str) -> np.ndarray:
@@ -198,6 +189,26 @@ def _initial_block(doc: dict, key: str, shape: tuple, seed: int):
     return arr
 
 
+def _seed(doc: dict) -> int:
+    """The seed of "seeded" initial blocks: AVGTRACK_SEED when it is set,
+    else the config's seed, 0 by default. Each is checked where given."""
+    seed = doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError("seed must be an integer")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    text = os.environ.get(SEED_ENV_VAR)
+    if text is None:
+        return seed
+    try:
+        seed = int(text)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise ConfigError(f"{SEED_ENV_VAR} must be nonnegative, got {seed}")
+    return seed
+
+
 class ScenarioBundle:
     """Everything assembled from one config document."""
 
@@ -222,7 +233,7 @@ class ScenarioBundle:
         n_agents = self.topology.vertex_count
         inputs = doc["inputs"]
         if isinstance(inputs, dict):
-            specs = tuple(_parse_input_spec(inputs, "inputs") for _ in range(n_agents))
+            specs = (_parse_input_spec(inputs, "inputs"),) * n_agents
         else:
             if len(inputs) != n_agents:
                 raise ConfigError(
@@ -236,7 +247,7 @@ class ScenarioBundle:
         self.controller = doc["controller"]
         self.eps = _number(doc.get("eps", 1.0), "eps", nonnegative=True)
         self.phi = _number(doc.get("phi", 0.0), "phi", nonnegative=True)
-        self.seed = int(os.environ.get(SEED_ENV_VAR, doc.get("seed", 0)))
+        self.seed = _seed(doc)
 
         integ = doc.get("integrator", {})
         self.step = _number(integ.get("step", 1e-3), "integrator.step", positive=True)
@@ -255,6 +266,8 @@ class ScenarioBundle:
         if self.sync_offsets.shape != (n_agents,):
             raise ConfigError("clock_sync.initial_offsets must list one value per agent")
         self.sync_convention = sync.get("convention", ATTRACTING)
+        if self.sync_convention not in (ATTRACTING, PAPER_LITERAL):
+            raise ConfigError(f"clock_sync.convention must be {ATTRACTING} or {PAPER_LITERAL}")
         self.sync_tol = _number(sync.get("tol", 1e-9), "clock_sync.tol", positive=True)
         self.sync_step = _number(sync.get("step", 1e-5), "clock_sync.step", positive=True)
 

@@ -9,9 +9,10 @@ offsets below 1e-12 as already synchronized to avoid limit cycling on the
 synchronized manifold.
 
 clock_law is the one form of the law: the sync pre-phase steps it through
-matkernel.rk4, and the simulation engine takes the clock rows of its
-right-hand side from it (or, in its fused map, the per-edge coupling term
-edge_coupling).
+matkernel.rk4. The simulation engine's clock rows scatter its per-edge
+term, edge_coupling, through the engine's edge operators, which gives
+clock_law bit for bit, and the engine calls clock_law itself where it
+steps everything but the direction term.
 """
 
 from __future__ import annotations

@@ -8,20 +8,20 @@ The flat state vector is laid out as
 
     y = [ s (N*n) | r (N*n) | clocks (N) | alpha (E) | beta (E) ]
 
-and the right-hand side is compiled per scenario into one of two operator
-forms, picked from the state dimension alone (DENSE_MAX_DIM). Small
-systems get two constant matrices, one gather of the edge quantities and
-one fused output map holding the drift, their scatter and an affine
-column, so a single evaluation is one matrix-vector product whatever the
-control law. Larger systems, where that map would be almost all zeros and
-grow as dim^2, get edge-indexed operators: every coupling is formed from
-the edge differences x_tail - x_head through index arrays, K, A and B act
-as small per-agent matmuls, and the edge terms are summed back into the
-agents with bincount, so cost and memory grow with N + E. Both forms
-evaluate the same formulas, and the same compiled object reproduces the
-per-agent control values for trace samples. The clock rows are the clock
-law of the sync pre-phase, clocksync.clock_law; the fused map scatters its
-per-edge term, clocksync.edge_coupling.
+and every law is written once, as edge-indexed operators, as in the
+paper's edge-based design: each coupling is formed from the edge
+differences x_tail - x_head and t_tail - t_head through index arrays, K, A
+and B act as small per-agent matmuls, and the edge terms are summed back
+into the agents with bincount, so cost and memory grow with N + E. One
+operator gathers the edge quantities; the other is linear in the state,
+the per-edge terms and a constant 1, and gives the derivative. Up to a
+state dimension of DENSE_MAX_DIM the scenario also compiles to the dense
+form, those two operators' matrices read off their values on the unit
+vectors, so one evaluation is one matrix-vector product whatever the
+control law. The same compiled object reproduces the per-agent control
+values for trace samples. The clock rows scatter the per-edge term of the
+sync pre-phase's clock law, clocksync.edge_coupling, and equal
+clocksync.clock_law bit for bit.
 
 Each step is classical fourth-order Runge-Kutta (matkernel.rk4, as in the
 sync pre-phase) while the step resolves the boundary layer eps e^{-phi t}
@@ -41,9 +41,9 @@ and one input wave "everything else" is an affine system, and
 the dense form takes its RK4 step as one product with a propagator, the
 step's polynomial in the drift, built once per step size (Hairer and
 Wanner, Solving ODEs II, IV.2); the edge form takes the same polynomial as
-four products with the drift. With equal clocks and one input channel the
-implicit matrix is written at fixed indices into one reused array, and
-the layer eps e^{-phi t} is one value for every edge.
+four products with the drift. The implicit step's node matrix is written
+at fixed indices into one reused array, and with equal clocks the layer
+eps e^{-phi t} is one value for every edge.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 from .clocksync import ATTRACTING, clock_law, clock_spread, coupling_sign, edge_coupling
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
-from .graph import Topology, is_connected, laplacian
+from .graph import Topology, incidence, is_connected, laplacian
 from .matkernel import is_hurwitz, rk4
 from .signals import InputFamily, Plant
 
@@ -74,6 +74,12 @@ RK4_STABILITY_LIMIT = 2.785
 # Per RK4 or implicit step the two forms cost the same near dim = 300 (ring
 # plus N/2 chords, n = 2, p = 1, one BLAS thread on a 2-vCPU x86 VM).
 DENSE_MAX_DIM = 300
+
+
+def _matrix_of(linear_map, n_in: int) -> np.ndarray:
+    """The matrix of a linear map on R^n_in, column by column from its
+    values on the unit vectors."""
+    return np.stack([linear_map(unit) for unit in np.eye(n_in)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -182,9 +188,11 @@ class _Dynamics:
     stacked control inputs u (N, p) for trace sampling. implicit_step takes
     the steps that layer_unresolved assigns to it.
 
-    dense says which operator form the scenario compiled to (see
-    DENSE_MAX_DIM): the fused map, or edge-indexed gathers and scatters.
-    Both evaluate the same formulas.
+    The edge operators define each law: _gather_edges forms the edge
+    quantities and _rates_edges, linear in the state, the per-edge terms
+    and a constant 1, sums them into the derivative. dense says whether the
+    scenario also compiled to their matrices, gather and the fused map
+    out_map (see DENSE_MAX_DIM), which __call__ then applies in their place.
     """
 
     def __init__(self, sc: Scenario):
@@ -217,20 +225,37 @@ class _Dynamics:
         self.tails, self.heads = tails, heads = topo.tails, topo.heads
         self.arcs = topo.arcs()
         self.connected = is_connected(topo)
-        lap = laplacian(topo)
+        self.dense = False  # until the dense form is built, below
+        self.a_t = plant.a.T
+        self.b_t = plant.b.T
+        # bincount bins of every edge's tail and head entries, then the same
+        # per input channel
+        self._ends = self.arcs[0]
+        self._ends_p = (self._ends[:, None] * p + np.arange(p)).ravel()
+        # u = gain (Dp z_t - Dm z_h) + the law's linear feedback (_control)
+        self.gain = 1.0 if self.adaptive else gains.c2
+        self.single_channel = p == 1
 
-        self.dense = dim <= DENSE_MAX_DIM
-        if self.dense:
-            self._compile_fused(sc, lap)
-        else:
-            self._compile_edges(sc)
+        # The gathered edge quantities [w | t_tail - t_head | dx] (_gather_edges)
+        # and _rates' input [y | z_t | z_h | sig (| quad | source) | 1], which
+        # __call__ rewrites through fixed views: at small N that costs a
+        # fraction of one np.concatenate.
+        self.i_w = slice(0, n_edges * p)
+        self.i_clk = slice(n_edges * p, n_edges * p + n_edges)
+        self.i_dx = slice(self.i_clk.stop, self.i_clk.stop + n_edges * n)
+        widths = [dim, n_edges * p, n_edges * p, n_edges] + [n_edges] * (2 * self.adaptive)
+        ends = np.cumsum(widths)
+        self._in_parts = tuple(slice(end - width, end) for end, width in zip(ends, widths))
+        self._stacked = np.zeros(ends[-1] + 1)
+        self._stacked[-1] = 1.0
+        self._stacked_parts = tuple(self._stacked[part] for part in self._in_parts)
 
         # Clock base rate plus any constant reference input: the affine
-        # column of the fused map, or a vector of its own in the edge form.
-        # The reference inputs add (I kron B) f(t) to the r rows. When every
-        # agent shares one frequency and phase this reduces to a fixed
-        # offset (folded into the affine column) plus one sine-scaled
+        # column. The reference inputs add (I kron B) f(t) to the r rows.
+        # When every agent shares one frequency and phase this reduces to a
+        # fixed offset (folded into the affine column) plus one sine-scaled
         # vector; otherwise the full family is evaluated per call.
+        self.const = np.zeros(dim)
         self.const[self.sl_c] = 1.0
         offset, amp, omega, phase = sc.family.evaluation_terms()
         self.uniform_wave = bool(np.all(omega == omega[0]) and np.all(phase == phase[0]))
@@ -242,7 +267,20 @@ class _Dynamics:
             self.in_amp = np.zeros(dim)
             self.in_amp[self.sl_r] = self._apply_b(amp)
 
-        self.single_channel = p == 1
+        # The dense form is the matrix of the edge operators, read off their
+        # values on the unit vectors before dense switches the primitives
+        # over to it.
+        self._gather, self._rates = self._gather_edges, self._rates_edges
+        if dim <= DENSE_MAX_DIM:
+            self.gather = _matrix_of(self._gather_edges, dim)
+            self.out_map = _matrix_of(self._rates_edges, self._stacked.size)
+            self.sb = _matrix_of(self._apply_b, n_agents * p)
+            self.d_inc = incidence(topo)
+            self.d_plus = np.maximum(self.d_inc, 0.0)
+            self.d_minus = self.d_plus - self.d_inc
+            self._gather, self._rates = self.gather.dot, self.out_map.dot
+            self.dense = True
+
         self.has_wave = self.uniform_wave and (self.wave_omega != 0.0 or self.wave_phase != 0.0)
         self._no_sig = np.zeros(n_edges)
 
@@ -255,33 +293,28 @@ class _Dynamics:
             self.kb = k_mat @ plant.b
             self.stiffness = float(
                 gains.c2
-                * np.linalg.eigvalsh(lap)[-1]
+                * np.linalg.eigvalsh(laplacian(topo))[-1]
                 * np.max(np.abs(np.linalg.eigvals(self.kb)))
             )
-            self._eye = np.eye(n_agents * p)
-            # flat indices of the (t,t), (t,h), (h,t), (h,h) entries of W D^T
-            self.pair_index = np.concatenate(
-                [tails * n_agents + tails, tails * n_agents + heads,
-                 heads * n_agents + tails, heads * n_agents + heads]
-            )
+            # _implicit_matrix's buffers: [f_t | f_h] for the two ends of
+            # every edge, the node matrix W D^T (written in place of the
+            # matrix itself when there is one channel) and the flat indices
+            # of each edge's (t,h) and (h,t) entries; every entry off the
+            # diagonal and those indices stays zero
+            self._f_ends = np.empty(2 * n_edges)
+            self._f_halves = (self._f_ends[:n_edges], self._f_ends[n_edges:])
+            self._node = np.zeros((n_agents, n_agents))
+            self._node_flat = self._node.reshape(-1)
+            self._node_diag = self._node_flat[:: n_agents + 1]
+            self._off_index = np.concatenate((tails * n_agents + heads, heads * n_agents + tails))
             if self.single_channel:
-                # _implicit_matrix's equal-clock buffers: [f | f] for the two
-                # ends of every edge, and the matrix with the indices it
-                # writes, the (t,h) and (h,t) entries, then the diagonal;
-                # every other entry stays zero
                 self._kb1 = float(self.kb[0, 0])
-                self._f_ends = np.empty(2 * n_edges)
-                self._f_halves = (self._f_ends[:n_edges], self._f_ends[n_edges:])
-                self._lhs = np.zeros((n_agents, n_agents))
-                self._lhs_flat = self._lhs.reshape(-1)
-                self._lhs_diag = self._lhs_flat[:: n_agents + 1]
-                self._off_index = np.concatenate(
-                    (tails * n_agents + heads, heads * n_agents + tails)
-                )
+            else:
+                self._eye = np.eye(n_agents * p)
             if self.dense:
                 self.gather_w = self.gather[self.i_w]
                 # [y | zero direction and clock coupling slots | 1], see _affine
-                self._rest = np.zeros(self.out_map.shape[1])
+                self._rest = np.zeros(self._stacked.size)
                 self._rest[-1] = 1.0
                 # matmul, unlike ndarray.dot, multiplies by this column slice
                 # of out_map in place instead of copying it
@@ -299,122 +332,52 @@ class _Dynamics:
                 for j in range(5, 8):
                     self._linear(self._powers[j - 1], self._powers[j])
 
-    def _compile_fused(self, sc: Scenario, lap: np.ndarray):
-        """Dense form: a gather matrix for the edge quantities and one fused
-        output map, ydot = out_map @ [y | z | 1], holding the drift, the
-        scatter of the edge quantities z and the affine column."""
-        plant, gains = sc.plant, sc.gains
-        n_agents, n, p, n_edges, dim = self.n_agents, self.n, self.p, self.n_edges, self.dim
-        k_mat = gains.k_mat
-        tails, heads = self.tails, self.heads
+    # -- operator primitives ---------------------------------------------------
+    #
+    # Each law is written once, on the edge index arrays: _gather_edges forms
+    # the edge differences and _rates_edges sums the edge terms back into the
+    # agents. The dense form is their matrix, and the primitives below that
+    # branch on dense only pick the cheaper way to apply the same map.
 
-        # Agent-by-edge scatter matrices (D = Dp - Dm is the incidence).
-        d_plus = np.zeros((n_agents, n_edges))
-        d_minus = np.zeros((n_agents, n_edges))
-        d_plus[tails, np.arange(n_edges)] = 1.0
-        d_minus[heads, np.arange(n_edges)] = 1.0
-        d_inc = d_plus - d_minus
-        self.d_plus, self.d_minus, self.d_inc = d_plus, d_minus, d_inc
-
-        # Gather matrix: one matmul yields edge direction inputs w = K(x_i - x_j),
-        # clock differences, and (adaptive only) raw state differences.
-        kd = np.kron(d_inc.T, k_mat)  # (E*p, N*n), acts on stacked x
-        rows = [np.hstack([kd, kd, np.zeros((n_edges * p, dim - 2 * n_agents * n))])]
-        clk_rows = np.zeros((n_edges, dim))
-        clk_rows[:, self.sl_c] = d_inc.T
-        rows.append(clk_rows)
+    def _gather_edges(self, y):
+        """[w | t_tail - t_head | (adaptive laws) x_tail - x_head], flat: the
+        edge inputs w = K (x_tail - x_head), (E*p,), the clock differences,
+        (E,), and the state differences, (E*n,)."""
+        dx = self._state_differences(y)
+        clk = y[self.sl_c]
+        parts = [(dx @ self.k_t).ravel(), clk[self.tails] - clk[self.heads]]
         if self.adaptive:
-            dx = np.kron(d_inc.T, np.eye(n))
-            rows.append(
-                np.hstack([dx, dx, np.zeros((n_edges * n, dim - 2 * n_agents * n))])
-            )
-        self.gather = np.vstack(rows)
-        self.i_w = slice(0, n_edges * p)
-        self.i_clk = slice(n_edges * p, n_edges * p + n_edges)
-        self.i_dx = slice(self.i_clk.stop, self.i_clk.stop + n_edges * n)
+            parts.append(dx.ravel())
+        return np.concatenate(parts)
 
-        n_z = 2 * n_edges * p + (3 if self.adaptive else 1) * n_edges
-        out_map = np.zeros((dim, dim + n_z + 1))
-
-        # Constant drift: plant dynamics on s and r, the controller's linear
-        # feedback through B, and the adaptive leakage terms.
-        drift = out_map[:, :dim]
-        plant_block = np.kron(np.eye(n_agents), plant.a)
-        drift[self.sl_s, self.sl_s] += plant_block
-        drift[self.sl_r, self.sl_r] += plant_block
-        bk = plant.b @ k_mat
-        if sc.controller == "static":
-            coupling = gains.c1 * np.kron(lap, bk)
-            drift[self.sl_s, self.sl_s] += coupling
-            drift[self.sl_s, self.sl_r] += coupling
-        elif sc.controller == "modified":
-            feedback = np.kron(np.eye(n_agents), bk)
-            drift[self.sl_s, self.sl_s] += feedback
-            drift[self.sl_s, self.sl_r] += feedback
-        else:
-            a_rows = np.arange(self.sl_a.start, self.sl_a.stop)
-            b_rows = np.arange(self.sl_b.start, self.sl_b.stop)
-            drift[a_rows, a_rows] = -sc.adapt.mu * sc.adapt.theta
-            drift[b_rows, b_rows] = -sc.adapt.nu * sc.adapt.chi
-
-        # Scatter: edge quantities back into the state derivative. Column
-        # blocks follow the z layout assembled in __call__.
-        sb = np.kron(np.eye(n_agents), plant.b)  # stacked-input map (N*n, N*p)
-        scatter_tail = sb @ np.kron(d_plus, np.eye(p))
-        scatter_head = sb @ np.kron(d_minus, np.eye(p))
-        gain = 1.0 if self.adaptive else gains.c2
-        col = dim
-        for mat, sign in ((scatter_tail, gain), (scatter_head, -gain)):
-            out_map[self.sl_s, col : col + n_edges * p] = sign * mat
-            col += n_edges * p
-        out_map[self.sl_c, col : col + n_edges] = self.sigma * d_inc
-        col += n_edges
+    def _rates_edges(self, v):
+        """The derivative less the reference inputs, as a linear map of
+        v = [y | z_t | z_h | sig (| quad | source) | 1]: the plant on s and
+        r, u = gain (Dp z_t - Dm z_h) plus the law's linear feedback through
+        B on s, sigma D sig on the clocks, the adaptive gain laws, and v[-1]
+        times the affine column. z_t and z_h are the per-edge terms (E*p,)
+        at the tail and head clocks, sig the clock couplings (E,), and quad
+        and source the adaptive laws' per-edge sources (E,)."""
+        y, z_t, z_h, sig, *sources = (v[part] for part in self._in_parts)
+        shape = (self.n_edges, self.p)
+        u = self._control(y, None, z_t.reshape(shape), z_h.reshape(shape))
+        out = self._assemble(y, u, np.empty(self.dim))
+        out[self.sl_c] = self.sigma * self._scatter(sig, sig)
         if self.adaptive:
-            edge_ids = np.arange(n_edges)
-            out_map[self.sl_a.start + edge_ids, col + edge_ids] = sc.adapt.mu
-            out_map[self.sl_b.start + edge_ids, col + n_edges + edge_ids] = sc.adapt.nu
-
-        self.sb = sb
-        self.out_map = out_map
-        self.const = out_map[:, -1]
-        # [y | z | 1], out_map's input, rewritten through fixed views on each
-        # evaluation: at small N that costs a fraction of one np.concatenate
-        self._stacked = np.zeros(out_map.shape[1])
-        self._stacked[-1] = 1.0
-        widths = [dim, n_edges * p, n_edges * p, n_edges] + [n_edges] * (2 * self.adaptive)
-        ends = np.cumsum(widths)
-        self._stacked_parts = tuple(
-            self._stacked[end - width : end] for end, width in zip(ends, widths)
-        )
-
-    def _compile_edges(self, sc: Scenario):
-        """Edge-indexed form: index arrays and the per-agent matrices, no
-        matrix of the state's size."""
-        n_agents, p = self.n_agents, self.p
-        self.a_t = sc.plant.a.T
-        self.b_t = sc.plant.b.T
-        # bincount bins of every edge's tail and head entries, then the same
-        # per input channel
-        self._ends = self.arcs[0]
-        self._ends_p = (self._ends[:, None] * p + np.arange(p)).ravel()
-        self.const = np.zeros(self.dim)
-
-    # -- operator primitives, one per form -----------------------------------
+            (quad, source), adapt = sources, self.adapt
+            out[self.sl_a] = adapt.mu * (quad - adapt.theta * y[self.sl_a])
+            out[self.sl_b] = adapt.nu * (source - adapt.chi * y[self.sl_b])
+        out += v[-1] * self.const
+        return out
 
     def _edge_terms(self, y):
         """Edge inputs w = K (x_tail - x_head), flat (E*p,), clock
-        differences, their norms, and (adaptive laws, or the edge form) the
-        state differences x_tail - x_head (E, n)."""
-        if self.dense:
-            g = self.gather.dot(y)
-            w = g[self.i_w]
-            dclk = g[self.i_clk]
-            dx = g[self.i_dx].reshape(self.n_edges, self.n) if self.adaptive else None
-        else:
-            dx = self._state_differences(y)
-            w = (dx @ self.k_t).ravel()
-            clk = y[self.sl_c]
-            dclk = clk[self.tails] - clk[self.heads]
+        differences, their norms, and (adaptive laws) the state differences
+        x_tail - x_head (E, n)."""
+        g = self._gather(y)
+        w = g[self.i_w]
+        dclk = g[self.i_clk]
+        dx = g[self.i_dx].reshape(self.n_edges, self.n) if self.adaptive else None
         if self.single_channel:
             nrm = np.abs(w)
         else:
@@ -429,7 +392,7 @@ class _Dynamics:
         return (self._state_differences(y) @ self.k_t).ravel()
 
     def _state_differences(self, y):
-        """Edge form: x_tail - x_head per edge, (E, n)."""
+        """x_tail - x_head per edge, (E, n)."""
         x = (y[self.sl_s] + y[self.sl_r]).reshape(self.n_agents, self.n)
         return x[self.tails] - x[self.heads]
 
@@ -457,14 +420,12 @@ class _Dynamics:
 
     def _linear(self, v, out):
         """out = D v, D the drift of the static and modified laws (the plant
-        on s and r and the law's linear feedback through B)."""
+        on s and r and the law's linear feedback through B): _rates_edges
+        with no edge terms and no affine column, in fewer operations."""
         if self.dense:
             np.matmul(self._drift, v, out=out)
             return out
-        w2 = None
-        if self.controller == "static":
-            w2 = self._gather_w(v).reshape(self.n_edges, self.p)
-        return self._assemble(v, self._feedback(v, w2), out)
+        return self._assemble(v, self._feedback(v), out)
 
     def _affine(self, y, out):
         """out = D y + c, c the affine column: the direction and clock
@@ -479,7 +440,7 @@ class _Dynamics:
         return out
 
     def _assemble(self, y, u, out):
-        """Edge form: out = [A s + B u | A r | 0], u the stacked controls."""
+        """out = [A s + B u | A r | 0], u the stacked controls (N, p)."""
         n_agents, n = self.n_agents, self.n
         s = y[self.sl_s].reshape(n_agents, n)
         r = y[self.sl_r].reshape(n_agents, n)
@@ -522,23 +483,37 @@ class _Dynamics:
             ydot[self.sl_r] += self._apply_b(self.family.value_all(t))
         return ydot
 
-    def _feedback(self, y, w2):
+    def _feedback(self, y, w2=None):
         """The law's linear feedback: c1 D w on the static law's edge inputs
-        w2 (E, p), K x_i on the modified law's states."""
+        w2 (E, p), gathered from y when not given, K x_i on the modified
+        law's states."""
         if self.controller == "static":
+            if w2 is None:
+                w2 = self._gather_w(y).reshape(self.n_edges, self.p)
             return self.c1 * self._scatter(w2, w2)
         x = (y[self.sl_s] + y[self.sl_r]).reshape(self.n_agents, self.n)
         return x @ self.k_t
 
-    def _control(self, y, w2, dir_t, dir_h):
-        """Stacked controls u (N, p) from the edge inputs w2 (E, p) and the
-        direction terms at the tail and head clocks."""
-        if self.adaptive:
-            alpha, beta = y[self.sl_a, None], y[self.sl_b, None]
-            return self._scatter(alpha * w2 + beta * dir_t, alpha * w2 + beta * dir_h)
-        u = self.c2 * self._scatter(dir_t, dir_h)
-        u += self._feedback(y, w2)
+    def _control(self, y, w2, z_t, z_h):
+        """Stacked controls u (N, p) = gain (Dp z_t - Dm z_h) plus, for the
+        static and modified laws, their linear feedback (_feedback)."""
+        u = self.gain * self._scatter(z_t, z_h)
+        if not self.adaptive:
+            u += self._feedback(y, w2)
         return u
+
+    def _edge_inputs(self, y, w, inv_t, inv_h):
+        """z_t and z_h, flat (E*p,): the direction terms w inv at the tail
+        and head clocks (_direction_coeffs), and for the adaptive law
+        alpha w + beta times them. One array when inv_h is inv_t and the law
+        is not adaptive."""
+        dir_t = w * self._edge_scale(inv_t)
+        dir_h = dir_t if inv_h is inv_t else w * self._edge_scale(inv_h)
+        if not self.adaptive:
+            return dir_t, dir_h
+        alpha_w = self._edge_scale(y[self.sl_a]) * w
+        beta = self._edge_scale(y[self.sl_b])
+        return alpha_w + beta * dir_t, alpha_w + beta * dir_h
 
     # -- derivative and controls -----------------------------------------
 
@@ -546,38 +521,14 @@ class _Dynamics:
         w, dclk, nrm, dx = self._edge_terms(y)
         synced = not np.count_nonzero(dclk)
         inv_t, inv_h = self._direction_coeffs(y, nrm, synced)
+        sig = self._no_sig if synced else edge_coupling(dclk)
+        parts = (y, *self._edge_inputs(y, w, inv_t, inv_h), sig)
         if self.adaptive:
             quad = ((dx @ self.gamma_mat) * dx).sum(axis=1)
-            source = nrm if self.discontinuous else nrm * nrm * inv_t
-
-        if not self.dense:
-            w2 = w.reshape(self.n_edges, self.p)
-            dir_t = w2 * inv_t[:, None]
-            dir_h = dir_t if inv_h is inv_t else w2 * inv_h[:, None]
-            ydot = self._assemble(y, self._control(y, w2, dir_t, dir_h), np.empty(self.dim))
-            ydot += self.const
-            if not synced:
-                ydot[self.sl_c] = clock_law(t, y[self.sl_c], self.sigma, *self.arcs)
-            if self.adaptive:
-                adapt = self.adapt
-                ydot[self.sl_a] = adapt.mu * (quad - adapt.theta * y[self.sl_a])
-                ydot[self.sl_b] = adapt.nu * (source - adapt.chi * y[self.sl_b])
-            return self._add_inputs(t, ydot)
-
-        sig = self._no_sig if synced else edge_coupling(dclk)
-        dir_t = w * self._edge_scale(inv_t)
-        dir_h = dir_t if inv_h is inv_t else w * self._edge_scale(inv_h)
-        if self.adaptive:
-            alpha, beta = y[self.sl_a], y[self.sl_b]
-            a_scale = self._edge_scale(alpha)
-            b_scale = self._edge_scale(beta)
-            parts = (y, a_scale * w + b_scale * dir_t, a_scale * w + b_scale * dir_h, sig,
-                     quad, source)
-        else:
-            parts = (y, dir_t, dir_h, sig)
+            parts += (quad, nrm if self.discontinuous else nrm * nrm * inv_t)
         for view, part in zip(self._stacked_parts, parts):
             view[...] = part
-        return self._add_inputs(t, self.out_map.dot(self._stacked))
+        return self._add_inputs(t, self._rates(self._stacked))
 
     # -- past the resolution limit -------------------------------------------
 
@@ -698,7 +649,7 @@ class _Dynamics:
 
         f_t = (dt * self.c2) * inv_t
         f_h = f_t if synced else (dt * self.c2) * inv_h
-        lhs = self._implicit_matrix(f_t, f_h, synced)
+        lhs = self._implicit_matrix(f_t, f_h)
         w = self._gather_w(y_next)
         tail = (self._edge_scale(f_t) * w).reshape(n_edges, p)
         head = tail if synced else (self._edge_scale(f_h) * w).reshape(n_edges, p)
@@ -707,36 +658,29 @@ class _Dynamics:
         s_next += self._apply_b(np.linalg.solve(lhs, rhs.ravel()))
         return y_next
 
-    def _implicit_matrix(self, f_t, f_h, synced):
+    def _implicit_matrix(self, f_t, f_h):
         """I - (W D^T) kron (K B) of implicit_step, W = Dp diag(f_t) - Dm diag(f_h).
 
-        With equal clocks and one input channel W D^T is the Laplacian
-        weighted by f: the matrix is f kb at each edge's (t,h) and (h,t)
-        entries and 1 - kb (sum of f over the edges at each agent) on the
-        diagonal, written at fixed indices into one array that the next
-        call overwrites. Fresh N^2 arrays, page-faulted in anew each step,
-        cost 17 times the arithmetic at N = 200. Otherwise W D^T is summed
-        with bincount over each edge's four entries.
+        W D^T is -f_t at each edge's (t,h) entry, -f_h at its (h,t) entry,
+        and on the diagonal the sum of f over the edge ends at each agent.
+        It is written at fixed indices into one N x N array that the next
+        call overwrites: fresh N^2 arrays, page-faulted in anew each step,
+        cost 17 times the arithmetic at N = 200. With one input channel that
+        array is the matrix itself, scaled by -kb as it is written.
         """
-        n_agents = self.n_agents
-        if synced and self.single_channel:
-            kb, f_ends = self._kb1, self._f_ends
-            for half in self._f_halves:
-                half[...] = f_t
-            self._lhs_flat[self._off_index] = f_ends * kb
-            diag = np.bincount(self.arcs[0], f_ends, n_agents)
-            diag *= -kb
-            np.add(diag, 1.0, out=self._lhs_diag)
-            return self._lhs
-        node = np.bincount(
-            self.pair_index, np.concatenate((f_t, -f_t, -f_h, f_h)), n_agents * n_agents
-        ).reshape(n_agents, n_agents)
-        # I - node kron (K B), built in place
+        f_ends = self._f_ends
+        self._f_halves[0][...] = f_t
+        self._f_halves[1][...] = f_h
+        diag = np.bincount(self.arcs[0], f_ends, self.n_agents)
         if self.single_channel:
-            lhs = node
-            lhs *= -self.kb[0, 0]
-        else:
-            lhs = np.kron(node, -self.kb)
+            kb = self._kb1
+            self._node_flat[self._off_index] = f_ends * kb
+            diag *= -kb
+            np.add(diag, 1.0, out=self._node_diag)
+            return self._node
+        self._node_flat[self._off_index] = -f_ends
+        self._node_diag[...] = diag
+        lhs = np.kron(self._node, -self.kb)
         lhs += self._eye
         return lhs
 
@@ -744,8 +688,12 @@ class _Dynamics:
         """Stacked control inputs u (N, p) at the given state."""
         w, dclk, nrm, _ = self._edge_terms(y)
         inv_t, inv_h = self._direction_coeffs(y, nrm, not np.count_nonzero(dclk))
-        w2 = w.reshape(self.n_edges, self.p)
-        return self._control(y, w2, w2 * inv_t[:, None], w2 * inv_h[:, None])
+        shape = (self.n_edges, self.p)
+        # two reshaped views even of one array: the dense _scatter then sums
+        # Dp z_t - Dm z_h, where one product with D would round the traced
+        # controls differently
+        z_t, z_h = (z.reshape(shape) for z in self._edge_inputs(y, w, inv_t, inv_h))
+        return self._control(y, w.reshape(shape), z_t, z_h)
 
     # -- state packing -----------------------------------------------------
 
@@ -827,6 +775,10 @@ def step_rk4(state: SimState, scenario: Scenario, dt: float, t: float = 0.0) -> 
     classical fourth-order Runge-Kutta, or, once dt cannot resolve the
     boundary layer, RK4 plus a linearly implicit Euler step of the
     c2-weighted direction term.
+
+    Each call compiles the scenario, which run does once: at N = 6 that
+    takes a few milliseconds, about a hundred RK4 steps' worth (2-vCPU x86
+    VM), most of it reading the dense form off the edge operators.
 
     Deterministic: identical inputs produce bit-identical outputs. Raises
     NumericalError naming the first non-finite component on blow-up.

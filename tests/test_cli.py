@@ -224,11 +224,12 @@ class TestExitCodes:
             (("clock_sync", "enabled"), "yes", "clock_sync.enabled"),
             (("clock_sync", "enabled"), [0], "clock_sync.enabled"),
             (("clock_sync", "enabled"), 1, "clock_sync.enabled"),
+            (("seed",), -5, "seed"),
         ],
         ids=[
             "edges-not-pairs", "edge-null", "edge-float", "edge-bool", "amplitude-scalar",
             "c1-list", "c1-bool", "output-dir-int", "horizon-infinite", "eps-nan", "offsets-nan",
-            "enabled-no", "enabled-yes", "enabled-list", "enabled-int",
+            "enabled-no", "enabled-yes", "enabled-list", "enabled-int", "seed-negative",
         ],
     )
     def test_malformed_value_is_one_schema_line(self, tmp_path, capsys, path, value, key):
@@ -241,6 +242,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"schema-error: {key}")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "value, cause",
+        [("abc", "must be an integer, got 'abc'"), ("-3", "must be nonnegative, got -3")],
+        ids=["not-an-integer", "negative"],
+    )
+    def test_bad_seed_variable_is_named(self, tmp_path, capsys, monkeypatch, value, cause):
+        doc = tiny_config()
+        doc["initial"]["r"] = "seeded"
+        monkeypatch.setenv("AVGTRACK_SEED", value)
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"schema-error: AVGTRACK_SEED {cause}\n"
 
     @pytest.mark.parametrize(
         "flag, value",

@@ -277,23 +277,37 @@ class TestRun:
 
 class TestEngineMatchesPerAgentLaws:
     """The compiled dynamics must agree with the per-agent control API,
-    including under unsynchronized clocks."""
+    including under unsynchronized clocks. Here in the dense form; the
+    subclass below repeats every test in the edge form, whose operators
+    define each law."""
+
+    dense_max_dim = sys.maxsize
+    rng = RNG
+
+    @pytest.fixture(autouse=True)
+    def _operator_form(self, monkeypatch):
+        monkeypatch.setattr(engine, "DENSE_MAX_DIM", self.dense_max_dim)
+
+    def _compiled(self, sc):
+        dyn = _Dynamics(sc)
+        assert dyn.dense is (self.dense_max_dim > 0)
+        return dyn
 
     def _state_with_clocks(self, sc, clocks):
         state = sc.initial_state()
         return SimState(
-            s=RNG.uniform(-1, 1, state.s.shape) if sc.controller == "modified" else state.s,
-            r=RNG.uniform(-1, 1, state.r.shape),
+            s=self.rng.uniform(-1, 1, state.s.shape) if sc.controller == "modified" else state.s,
+            r=self.rng.uniform(-1, 1, state.r.shape),
             clocks=np.asarray(clocks, dtype=float),
-            alpha=RNG.uniform(0.0, 2.0, state.alpha.shape),
-            beta=RNG.uniform(0.0, 2.0, state.beta.shape),
+            alpha=self.rng.uniform(0.0, 2.0, state.alpha.shape),
+            beta=self.rng.uniform(0.0, 2.0, state.beta.shape),
         )
 
     def test_static_with_desynchronized_clocks(self, demo_gains):
         sc = demo_static_scenario(demo_gains)
         clocks = np.array([0.0, 0.4, 1.1, 0.2, 2.0, 0.9])
         state = self._state_with_clocks(sc, clocks)
-        dyn = _Dynamics(sc)
+        dyn = self._compiled(sc)
         u_fast = dyn.controls(0.0, dyn.pack(state))
         for i in range(6):
             u_ref, _ = static_control(i, state.x, demo_gains, clocks[i], sc.topology)
@@ -303,7 +317,7 @@ class TestEngineMatchesPerAgentLaws:
         sc = demo_static_scenario(demo_gains, controller="modified")
         clocks = np.array([0.3, 0.0, 0.0, 0.7, 0.1, 0.0])
         state = self._state_with_clocks(sc, clocks)
-        dyn = _Dynamics(sc)
+        dyn = self._compiled(sc)
         u_fast = dyn.controls(0.0, dyn.pack(state))
         for i in range(6):
             u_ref = modified_control(i, state.x, demo_gains, clocks[i], sc.topology)
@@ -314,7 +328,7 @@ class TestEngineMatchesPerAgentLaws:
         sc = demo_static_scenario(demo_gains, controller="adaptive", adapt=adapt)
         clocks = np.array([0.0, 0.4, 1.1, 0.2, 2.0, 0.9])
         state = self._state_with_clocks(sc, clocks)
-        dyn = _Dynamics(sc)
+        dyn = self._compiled(sc)
         y = dyn.pack(state)
         u_fast = dyn.controls(0.0, y)
         ydot = dyn(0.0, y)
@@ -336,6 +350,15 @@ class TestEngineMatchesPerAgentLaws:
                 clocks[tail], sc.topology,
             )
             assert beta_dot_fast[e] == pytest.approx(b_dot[e], abs=1e-12)
+
+
+class TestEdgeFormMatchesPerAgentLaws(TestEngineMatchesPerAgentLaws):
+    """The same checks with every scenario compiled to the edge operators,
+    on states from a generator of their own, so that the draws of the module
+    generator later tests see stay as they were."""
+
+    dense_max_dim = 0
+    rng = np.random.default_rng(44)
 
 
 def independent_rhs(sc, adapt):
@@ -1014,9 +1037,10 @@ class TestEdgeIndexedOperators:
 
 
 class TestOneClockLaw:
-    """The engine's clock rows are clocksync.clock_law wherever it calls it
-    (the edge form of __call__, and without_direction on both forms), and
-    every form agrees with the per-edge reference clock_rates."""
+    """The engine's clock rows are clocksync.clock_law: without_direction
+    calls it on both forms, and __call__'s edge operators, which scatter
+    its per-edge term, equal it bit for bit. Every form agrees with the
+    per-edge reference clock_rates."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("convention", [ATTRACTING, PAPER_LITERAL])
@@ -1090,18 +1114,22 @@ class TestStepPieces:
     @pytest.mark.parametrize("agents", range(2, 51))
     def test_fixed_index_matrix_is_the_bincount_build(self, agents):
         topo = ring_plus_chords(agents, seed=agents)
-        fam = InputFamily(specs=(SinusoidInput(amplitude=(1.0,)),) * agents, input_dim=1)
-        gains = design_gains(demo_plant(), topo, fam, DEMO_Q, eps=5.0, phi=0.5)
-        sc = Scenario(
-            plant=demo_plant(), topology=topo, family=fam, controller="static", gains=gains
-        )
-        dyn = _Dynamics(sc)
         rng = np.random.default_rng(agents)
-        # two draws through the one reused array: no entry of the first stays
-        for scale in (1e-3, 1e2):
-            f = scale * rng.uniform(0.0, 1.0, topo.edge_count)
-            lhs = dyn._implicit_matrix(f, f, True)
-            assert np.array_equal(lhs, implicit_matrix_bincount(topo, dyn.kb, f, f))
+        two_channels = Plant(a=[[0.0, 1.0], [-0.5, -1.0]], b=[[1.0, 0.5], [0.0, 1.0]])
+        for plant, q_mat in ((demo_plant(), DEMO_Q), (two_channels, np.eye(2))):
+            p = plant.input_dim
+            fam = InputFamily(specs=(SinusoidInput(amplitude=(1.0,) * p),) * agents, input_dim=p)
+            gains = design_gains(plant, topo, fam, q_mat, eps=5.0, phi=0.5)
+            sc = Scenario(plant=plant, topology=topo, family=fam, controller="static", gains=gains)
+            dyn = _Dynamics(sc)
+            # draws through the one reused array: no entry of an earlier one
+            # stays; equal clocks (f_h = f_t) and unequal ones
+            for scale in (1e-3, 1e2):
+                f_t = scale * rng.uniform(0.0, 1.0, topo.edge_count)
+                for f_h in (f_t, scale * rng.uniform(0.0, 1.0, topo.edge_count)):
+                    lhs = dyn._implicit_matrix(f_t, f_h)
+                    expected = implicit_matrix_bincount(topo, dyn.kb, f_t, f_h)
+                    assert np.array_equal(lhs, expected)
 
     @pytest.mark.parametrize("inputs", ["sine", "constant"])
     def test_propagator_matches_the_recursion(self, demo_gains, inputs):
