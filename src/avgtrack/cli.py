@@ -105,11 +105,6 @@ def _edges(value) -> tuple:
     return tuple(tuple(e) for e in value)
 
 
-def serialize_config(doc: dict) -> str:
-    """Canonical JSON serialization of a scenario document."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _parse_input_spec(spec, where: str):
     _require_keys(spec, {"type", "value", "amplitude", "omega", "phase"}, {"type"}, where)
     kind = spec["type"]

@@ -32,18 +32,20 @@ sampled trajectory would chatter on a band proportional to the step. From
 there on RK4 steps everything else and the direction term takes a linearly
 implicit Euler step, the chattering-free discretisation of Acary and
 Brogliato (Systems & Control Letters, 2010). The adaptive law and the
-discontinuous direction w/||w|| keep explicit RK4 throughout.
+discontinuous direction w/||w|| keep explicit RK4 throughout. The layer is
+floored at LAYER_FLOOR c2 rho(K B), so that on long horizons it stays
+positive and the implicit step's matrix stays nonsingular in floating point.
 
 At small N a step's cost is the number of numpy calls, not arithmetic, so
 the step keeps that number low where the system allows: the fused map's
 input is written through fixed views of one array, and with equal clocks
-and one input wave "everything else" is an affine system, and
-the dense form takes its RK4 step as one product with a propagator, the
-step's polynomial in the drift, built once per step size (Hairer and
-Wanner, Solving ODEs II, IV.2); the edge form takes the same polynomial as
-four products with the drift. The implicit step's node matrix is written
-at fixed indices into one reused array, and with equal clocks the layer
-eps e^{-phi t} is one value for every edge.
+and one input wave "everything else" is an affine system whose RK4 step is
+a polynomial in the drift, written once as a linear map (_affine_step,
+four products with the drift). The edge form evaluates it; the dense form
+multiplies by its matrix, the propagator, read off it once per step size
+(Hairer and Wanner, Solving ODEs II, IV.2). The implicit step's node matrix
+is written at fixed indices into one reused array, and with equal clocks
+the layer eps e^{-phi t} is one value for every edge.
 """
 
 from __future__ import annotations
@@ -74,6 +76,14 @@ RK4_STABILITY_LIMIT = 2.785
 # Per RK4 or implicit step the two forms cost the same near dim = 300 (ring
 # plus N/2 chords, n = 2, p = 1, one BLAS thread on a 2-vCPU x86 VM).
 DENSE_MAX_DIM = 300
+
+# Floor of the boundary layer eps e^{-phi t}, relative to c2 rho(K B). The
+# implicit step's matrix is I + f |KB| L with f = dt c2 / (||w|| + layer);
+# the floor keeps f rho(KB) <= 1e12 dt, so that the identity still shows in
+# the matrix where some w_e is exactly zero, and keeps the layer positive
+# where eps e^{-phi t} would underflow. It binds only on long horizons: in
+# the shipped static scenario from t of about 48 s on.
+LAYER_FLOOR = 1e-12
 
 
 def _matrix_of(linear_map, n_in: int) -> np.ndarray:
@@ -278,6 +288,7 @@ class _Dynamics:
             self.d_inc = incidence(topo)
             self.d_plus = np.maximum(self.d_inc, 0.0)
             self.d_minus = self.d_plus - self.d_inc
+            self.gather_w = self.gather[self.i_w]
             self._gather, self._rates = self.gather.dot, self.out_map.dot
             self.dense = True
 
@@ -288,14 +299,12 @@ class _Dynamics:
         # linearises at w = 0 to (c2 / delta) (L kron B K), delta the layer
         # eps e^{-phi t}; its spectral radius is stiffness / delta, and for
         # K = -B^T P, rho(K B) = lambda_max(B^T P B).
+        self.kb = k_mat @ plant.b
+        rho_kb = float(np.max(np.abs(np.linalg.eigvals(self.kb))))
+        self.layer_floor = LAYER_FLOOR * gains.c2 * rho_kb
         self.stiffness = 0.0
         if sc.controller != "adaptive" and not sc.discontinuous and n_edges:
-            self.kb = k_mat @ plant.b
-            self.stiffness = float(
-                gains.c2
-                * np.linalg.eigvalsh(laplacian(topo))[-1]
-                * np.max(np.abs(np.linalg.eigvals(self.kb)))
-            )
+            self.stiffness = float(gains.c2 * np.linalg.eigvalsh(laplacian(topo))[-1] * rho_kb)
             # _implicit_matrix's buffers: [f_t | f_h] for the two ends of
             # every edge, the node matrix W D^T (written in place of the
             # matrix itself when there is one channel) and the flat indices
@@ -311,21 +320,14 @@ class _Dynamics:
                 self._kb1 = float(self.kb[0, 0])
             else:
                 self._eye = np.eye(n_agents * p)
-            if self.dense:
-                self.gather_w = self.gather[self.i_w]
-                # [y | zero direction and clock coupling slots | 1], see _affine
-                self._rest = np.zeros(self._stacked.size)
-                self._rest[-1] = 1.0
-                # matmul, unlike ndarray.dot, multiplies by this column slice
-                # of out_map in place instead of copying it
-                self._drift = self.out_map[:, :dim]
-                # [y | 1 | wave weights], the input of _propagator's map
-                self._prop_in = np.zeros(dim + 5)
-                self._prop_in[dim] = 1.0
-                self._prop_dt = None
-            # Rows 0-3 (edge form): D^j (D y + c) for the step at hand; rows
-            # 4-7: D^j a, with D the drift, c the affine column and a the
-            # input wave's amplitude (see _affine_rk4).
+            # [y | 1 | wave weights], the input of _affine_step, and the
+            # dense form's propagator, its matrix at step _prop_dt
+            self._step_in = np.zeros(dim + 5)
+            self._step_in[dim] = 1.0
+            self._prop_dt = None
+            # Rows 0-3: D^j (D y + c) for the step at hand; rows 4-7: D^j a,
+            # with D the drift, c the affine column and a the input wave's
+            # amplitude (see _affine_step).
             self._powers = np.zeros((8, dim))
             if self.has_wave:
                 self._powers[4] = self.in_amp
@@ -422,22 +424,7 @@ class _Dynamics:
         """out = D v, D the drift of the static and modified laws (the plant
         on s and r and the law's linear feedback through B): _rates_edges
         with no edge terms and no affine column, in fewer operations."""
-        if self.dense:
-            np.matmul(self._drift, v, out=out)
-            return out
         return self._assemble(v, self._feedback(v), out)
-
-    def _affine(self, y, out):
-        """out = D y + c, c the affine column: the direction and clock
-        coupling terms are left out, so every clock row is the base rate 1."""
-        if self.dense:
-            z = self._rest
-            z[: self.dim] = y
-            self.out_map.dot(z, out=out)
-            return out
-        self._linear(y, out)
-        out += self.const
-        return out
 
     def _assemble(self, y, u, out):
         """out = [A s + B u | A r | 0], u the stacked controls (N, p)."""
@@ -452,20 +439,25 @@ class _Dynamics:
     # -- edge quantities -------------------------------------------------
 
     def _direction_coeffs(self, y, nrm, synced):
-        """Per-edge reciprocal denominators at the tail and head clocks;
-        synced says both ends of every edge read the same time, so the two
-        are one array, and on a connected graph every agent reads it, so the
-        layer is one value. The discontinuous direction and a zero layer
-        (eps = 0), its limit, take 1/||w||, set to zero where w = 0."""
+        """Per-edge reciprocal denominators at the tail and head clocks, the
+        layer floored at layer_floor (LAYER_FLOOR); synced says both ends of
+        every edge read the same time, so the two are one array, and on a
+        connected graph every agent reads it, so the layer is one value. The
+        discontinuous direction and a zero layer (eps = 0), its limit, take
+        1/||w||, set to zero where w = 0."""
         if self.discontinuous or self.eps == 0.0:
             inv = np.divide(1.0, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
             return inv, inv
         if synced and self.connected:
             # np.exp, not math.exp, whose last bits differ from the array
             # form's below
-            inv = 1.0 / (nrm + self.eps * np.exp(-self.phi * y[self.sl_c.start]))
+            lay = self.eps * np.exp(-self.phi * y[self.sl_c.start])
+            if lay < self.layer_floor:  # cheaper than max() on a numpy scalar
+                lay = self.layer_floor
+            inv = 1.0 / (nrm + lay)
             return inv, inv
         lay = self.eps * np.exp(-self.phi * y[self.sl_c])
+        np.maximum(lay, self.layer_floor, out=lay)
         inv_t = 1.0 / (nrm + lay[self.tails])
         if synced:
             return inv_t, inv_t
@@ -536,19 +528,20 @@ class _Dynamics:
         """Whether RK4 at step dt no longer resolves the c2-weighted
         direction term at y: dt * stiffness / delta_min exceeds
         RK4_STABILITY_LIMIT, delta_min = eps e^{-phi max_i t_i} being the
-        thinnest layer. Always False for the adaptive and discontinuous
-        laws, and for a zero layer (eps = 0), which is the discontinuous
-        direction."""
-        if self.stiffness == 0.0:
+        thinnest layer, floored as in _direction_coeffs. Always False for
+        the adaptive and discontinuous laws, and for a zero layer (eps = 0),
+        which is the discontinuous direction."""
+        if self.stiffness == 0.0 or self.eps == 0.0:
             return False
         delta_min = self.eps * math.exp(-self.phi * max(y[self.sl_c].tolist()))
-        return dt * self.stiffness > RK4_STABILITY_LIMIT * delta_min > 0.0
+        return dt * self.stiffness > RK4_STABILITY_LIMIT * max(delta_min, self.layer_floor)
 
     def without_direction(self, t: float, y: np.ndarray, couple_clocks: bool) -> np.ndarray:
         """Derivative at (t, y) less the c2-weighted direction term. With
         couple_clocks False every clock runs at the base rate 1, which is
         exact while all clocks are equal."""
-        ydot = self._affine(y, np.empty(self.dim))
+        ydot = self._linear(y, np.empty(self.dim))
+        ydot += self.const
         if couple_clocks:
             ydot[self.sl_c] = clock_law(t, y[self.sl_c], self.sigma, *self.arcs)
         return self._add_inputs(t, ydot)
@@ -556,20 +549,17 @@ class _Dynamics:
     def _affine_rk4(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         """The RK4 step of without_direction from (t, y) when the clocks are
         equal and one input wave drives every agent. The system is then
-        affine, y' = D y + c + a sin(omega t + phase), and the step is a
-        polynomial in D:
+        affine, y' = D y + c + a sin(omega t + phase), and the step is
+        _affine_step at z = [y | 1 | the wave weights
+        dt/6 (s0 + 4 sm + s1), dt^2/6 (s0 + 2 sm), dt^3/12 (s0 + sm),
+        dt^4/24 s0], with s0, sm, s1 the wave at t, t + dt/2 and t + dt.
 
-            M y + m + dt/6 (s0 + 4 sm + s1) a + dt^2/6 (s0 + 2 sm) D a
-                    + dt^3/12 (s0 + sm) D^2 a + dt^4/24 s0 D^3 a,
-
-            M = sum_{j=0..4} (dt D)^j / j!,  m = sum_{j=1..4} dt^j / j! D^{j-1} c,
-
-        with s0, sm, s1 the wave at t, t + dt/2 and t + dt. The dense form
-        multiplies by that propagator (_propagator), one matrix-vector
-        product in place of four stage evaluations. The edge form, whose M
-        would be a dense dim x dim matrix, writes M y + m as
-        y + sum_{j=1..4} dt^j / j! D^{j-1} (D y + c) and takes the four
-        products with D.
+        The edge form evaluates _affine_step, four products with D. The
+        dense form multiplies by its matrix, the propagator, one
+        matrix-vector product in place of four stage evaluations (Hairer and
+        Wanner, Solving ODEs II, IV.2). The propagator is read off
+        _affine_step on the dim + 5 unit vectors on the first call with a
+        step size, 4-5 ms at N = 6 (2-vCPU x86 VM), once per run.
         """
         h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
         s0 = sm = s1 = 0.0
@@ -577,40 +567,37 @@ class _Dynamics:
             s0 = math.sin(self.wave_omega * t + self.wave_phase)
             sm = math.sin(self.wave_omega * (t + 0.5 * dt) + self.wave_phase)
             s1 = math.sin(self.wave_omega * (t + dt) + self.wave_phase)
-        wave = (
+        z = self._step_in
+        z[: self.dim] = y
+        z[self.dim + 1 :] = (
             dt / 6.0 * (s0 + 4.0 * sm + s1), h2 / 6.0 * (s0 + 2.0 * sm),
             h3 / 12.0 * (s0 + sm), h4 / 24.0 * s0,
         )
-        if self.dense:
-            z = self._prop_in
-            z[: self.dim] = y
-            z[self.dim + 1 :] = wave
-            return self._propagator(dt).dot(z)
+        if not self.dense:
+            return self._affine_step(z, dt)
+        if dt != self._prop_dt:
+            self._prop = _matrix_of(lambda unit: self._affine_step(unit, dt), self.dim + 5)
+            self._prop_dt = dt
+        return self._prop.dot(z)
+
+    def _affine_step(self, z: np.ndarray, dt: float) -> np.ndarray:
+        """_affine_rk4's step as a linear map of z = [y | 1 | k0..k3], the
+        polynomial in the drift D
+
+            y + sum_{j=1..4} dt^j / j! D^{j-1} (D y + c) + sum_j k_j D^j a,
+
+        c the affine column and a the wave's amplitude, formed by repeated
+        products with D (D^j a is kept in rows 4-7 of _powers)."""
+        dim = self.dim
+        y = z[:dim]
         powers = self._powers
-        self._affine(y, powers[0])
+        self._linear(y, powers[0])
+        powers[0] += z[dim] * self.const
         for j in range(1, 4):
             self._linear(powers[j - 1], powers[j])
-        coef = np.array([dt, h2 / 2.0, h3 / 6.0, h4 / 24.0, *wave])
+        h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
+        coef = np.array([dt, h2 / 2.0, h3 / 6.0, h4 / 24.0, *z[dim + 1 :]])
         return y + coef.dot(powers)
-
-    def _propagator(self, dt: float) -> np.ndarray:
-        """Dense form: [M | m | a | D a | D^2 a | D^3 a] of _affine_rk4 at
-        step dt, built on the first call with that dt."""
-        if dt != self._prop_dt:
-            dim, drift = self.dim, self._drift
-            term = np.eye(dim)
-            m_mat = np.eye(dim)
-            vec = dt * self.const
-            m_vec = vec.copy()
-            for j in range(1, 5):
-                term = (dt / j) * (drift @ term)  # (dt D)^j / j!
-                m_mat += term
-                if j < 4:
-                    vec = (dt / (j + 1)) * (drift @ vec)  # dt^(j+1) D^j c / (j+1)!
-                    m_vec += vec
-            self._prop = np.hstack((m_mat, m_vec[:, None], self._powers[4:].T))
-            self._prop_dt = dt
-        return self._prop
 
     def implicit_step(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         """One step from (t, y) once RK4 no longer resolves the layer.
@@ -633,8 +620,12 @@ class _Dynamics:
         as (W D^T kron K) x*, which would cancel large terms and lose the
         average. W D^T is the Laplacian of a weighted digraph (zero row
         sums, spectrum in the closed right half-plane) and
-        K B = -B^T P B <= 0, so the matrix is nonsingular for any dt; with
-        equal clocks it is symmetric positive definite (_implicit_matrix).
+        K B = -B^T P B <= 0, so the matrix is nonsingular for any dt in exact
+        arithmetic; with equal clocks it is symmetric positive definite
+        (_implicit_matrix). In floating point the identity is lost where
+        some w_e is exactly zero and f |KB| nears 1e16 (4.5e15 in the shipped
+        static run at t = 78.7 s with no floor); the layer floor
+        (LAYER_FLOOR) keeps f |KB| <= 1e12 dt.
         """
         n_agents, p, n_edges = self.n_agents, self.p, self.n_edges
         _, dclk, nrm, _ = self._edge_terms(y)
@@ -778,7 +769,9 @@ def step_rk4(state: SimState, scenario: Scenario, dt: float, t: float = 0.0) -> 
 
     Each call compiles the scenario, which run does once: at N = 6 that
     takes a few milliseconds, about a hundred RK4 steps' worth (2-vCPU x86
-    VM), most of it reading the dense form off the edge operators.
+    VM), most of it reading the dense form off the edge operators; an
+    equal-clock implicit step reads its propagator off them too, a few
+    milliseconds more.
 
     Deterministic: identical inputs produce bit-identical outputs. Raises
     NumericalError naming the first non-finite component on blow-up.
@@ -927,10 +920,6 @@ class DecayReport:
     checked: int
     violations: int
     max_excess: float
-
-    @property
-    def fraction(self) -> float:
-        return self.violations / self.checked if self.checked else 0.0
 
 
 def decay_check(trace: Trace, gains: GainSet, tol_scale: float = 1e-6) -> DecayReport:

@@ -117,12 +117,6 @@ class InputFamily:
     def agent_count(self) -> int:
         return len(self.specs)
 
-    def value(self, i: int, t: float) -> np.ndarray:
-        """f_i(t) for a single agent."""
-        if not 0 <= i < self.agent_count:
-            raise IndexError(f"agent index {i} out of range")
-        return self._offset[i] + self._amp[i] * np.sin(self._omega[i] * t + self._phase[i])
-
     def value_all(self, t: float) -> np.ndarray:
         """Stacked f(t) for every agent, shape (N, p)."""
         return self._offset + self._amp * np.sin(self._omega * t + self._phase)[:, None]
@@ -138,9 +132,3 @@ class InputFamily:
         f_i(t) = offset_i + amplitude_i * sin(omega_i * t + phase_i)."""
         return self._offset, self._amp, self._omega, self._phase
 
-
-def reference_derivative(plant: Plant, r_i, f_i) -> np.ndarray:
-    """dr_i/dt = A r_i + B f_i."""
-    r = _as_vector(r_i, plant.state_dim, "reference state")
-    f = _as_vector(f_i, plant.input_dim, "reference input")
-    return plant.a @ r + plant.b @ f

@@ -1,6 +1,7 @@
-"""Per-agent reference implementations of the edge laws, of the clock law
-and of the real PBH rank test, kept as independent oracles for the compiled
-engine, clocksync.clock_law and the complex PBH test in the package, and the
+"""Per-agent reference implementations of the inputs f_i(t) and the
+reference derivative, of the edge laws, of the clock law and of the real PBH
+rank test, kept as independent oracles for the compiled engine,
+clocksync.clock_law and the complex PBH test in the package, and the
 clock-sync pre-phase stepped to its full horizon, the oracle for the sync's
 stop rule.
 
@@ -17,6 +18,24 @@ from avgtrack.clocksync import DEAD_BAND, ClockState, clock_law, clock_spread, c
 from avgtrack.controllers import AdaptiveParams, GainSet
 from avgtrack.graph import Topology
 from avgtrack.matkernel import RANK_RTOL, as_matrix, rk4
+from avgtrack.signals import InputFamily, Plant
+
+
+def input_value(family: InputFamily, i: int, t: float) -> np.ndarray:
+    """f_i(t) for a single agent, from the family's evaluation terms."""
+    if not 0 <= i < family.agent_count:
+        raise IndexError(f"agent index {i} out of range")
+    offset, amp, omega, phase = family.evaluation_terms()
+    return offset[i] + amp[i] * np.sin(omega[i] * t + phase[i])
+
+
+def reference_derivative(plant: Plant, r_i, f_i) -> np.ndarray:
+    """dr_i/dt = A r_i + B f_i for one agent."""
+    r = np.asarray(r_i, dtype=float).reshape(-1)
+    f = np.asarray(f_i, dtype=float).reshape(-1)
+    if r.shape != (plant.state_dim,) or f.shape != (plant.input_dim,):
+        raise ValueError("reference state or input has the wrong length")
+    return plant.a @ r + plant.b @ f
 
 
 def neighbors(topology: Topology, i: int) -> list[int]:
@@ -256,7 +275,8 @@ def affine_rk4_recursion(dyn, t: float, y, dt: float) -> np.ndarray:
     c the affine column, a the wave's amplitude and s0, sm, s1 the wave at
     t, t + dt/2 and t + dt."""
     powers = np.zeros((8, dyn.dim))
-    dyn._affine(y, powers[0])
+    dyn._linear(y, powers[0])
+    powers[0] += dyn.const
     for j in range(1, 4):
         dyn._linear(powers[j - 1], powers[j])
     s0 = sm = s1 = 0.0

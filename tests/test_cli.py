@@ -13,7 +13,6 @@ from avgtrack.cli import (
     _sync_pre_phase,
     load_config,
     main,
-    serialize_config,
     validate_config,
 )
 from avgtrack.errors import ConfigError
@@ -47,7 +46,7 @@ def write_config(tmp_path, doc, name="config.json"):
 class TestConfigSchema:
     def test_round_trip_identity(self, tmp_path):
         doc = load_config(DEMO_CONFIG)
-        path = write_config(tmp_path, json.loads(serialize_config(doc)))
+        path = write_config(tmp_path, json.loads(json.dumps(doc, indent=2, sort_keys=True)))
         assert load_config(path) == doc
 
     def test_unknown_top_level_key(self, tmp_path):
@@ -281,6 +280,23 @@ class TestExitCodes:
         assert done.returncode == 3
         assert done.stderr.startswith("numeric-error:")
         assert len(done.stderr.strip().splitlines()) == 1
+
+    def test_layer_below_float_resolution_runs_silently(self, tmp_path):
+        # From clocks of 1000 the layer eps e^{-phi t} is below 1e-200, far
+        # under every ||w_e|| in floating point. Run as a user does, so that
+        # a numpy warning would reach stderr.
+        doc = json.loads(STATIC_CONFIG.read_text())
+        doc["clock_sync"] = {"enabled": False}
+        doc["initial"]["clocks"] = [1000.0] * 6
+        path = write_config(tmp_path, doc)
+        env = dict(os.environ, PYTHONPATH=str(Path(avgtrack.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "avgtrack.cli", "run", str(path), "--horizon", "1",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     def test_slow_unstable_plant_designs(self, tmp_path, capsys):
         # a slow unstable mode beside a fast stable one

@@ -3,6 +3,7 @@ import json
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -49,7 +50,9 @@ from oracles import (
     affine_rk4_recursion,
     clock_rates,
     implicit_matrix_bincount,
+    input_value,
     modified_control,
+    reference_derivative,
     static_control,
 )
 
@@ -293,14 +296,15 @@ class TestEngineMatchesPerAgentLaws:
         assert dyn.dense is (self.dense_max_dim > 0)
         return dyn
 
-    def _state_with_clocks(self, sc, clocks):
+    def _state_with_clocks(self, sc, clocks, rng=None):
+        rng = self.rng if rng is None else rng
         state = sc.initial_state()
         return SimState(
-            s=self.rng.uniform(-1, 1, state.s.shape) if sc.controller == "modified" else state.s,
-            r=self.rng.uniform(-1, 1, state.r.shape),
+            s=rng.uniform(-1, 1, state.s.shape) if sc.controller == "modified" else state.s,
+            r=rng.uniform(-1, 1, state.r.shape),
             clocks=np.asarray(clocks, dtype=float),
-            alpha=self.rng.uniform(0.0, 2.0, state.alpha.shape),
-            beta=self.rng.uniform(0.0, 2.0, state.beta.shape),
+            alpha=rng.uniform(0.0, 2.0, state.alpha.shape),
+            beta=rng.uniform(0.0, 2.0, state.beta.shape),
         )
 
     def test_static_with_desynchronized_clocks(self, demo_gains):
@@ -324,10 +328,19 @@ class TestEngineMatchesPerAgentLaws:
             assert np.allclose(u_fast[i], u_ref, atol=1e-12)
 
     def test_adaptive_matches_including_gain_rates(self, demo_gains):
-        adapt = design_adaptive_params(demo_gains, 10.0, 10.0, 0.01, 0.01)
+        self._check_adaptive(demo_gains, (10.0, 10.0, 0.01, 0.01))
+
+    def test_adaptive_matches_with_distinct_rates(self, demo_gains):
+        # mu != nu and theta != chi, so that neither gain law can take the
+        # other's rate unseen; a generator of its own keeps the draws that
+        # later tests see as they were
+        self._check_adaptive(demo_gains, (10.0, 4.0, 0.01, 0.03), np.random.default_rng(45))
+
+    def _check_adaptive(self, demo_gains, rates, rng=None):
+        adapt = design_adaptive_params(demo_gains, *rates)
         sc = demo_static_scenario(demo_gains, controller="adaptive", adapt=adapt)
         clocks = np.array([0.0, 0.4, 1.1, 0.2, 2.0, 0.9])
-        state = self._state_with_clocks(sc, clocks)
+        state = self._state_with_clocks(sc, clocks, rng)
         dyn = self._compiled(sc)
         y = dyn.pack(state)
         u_fast = dyn.controls(0.0, y)
@@ -365,8 +378,6 @@ def independent_rhs(sc, adapt):
     """Stacked derivative assembled from the per-agent control API, the
     per-agent reference derivative, and the clock-rate function: a formula
     path fully independent of the compiled engine."""
-    from avgtrack.signals import reference_derivative
-
     topo, plant, gains = sc.topology, sc.plant, sc.gains
     n_agents, n = topo.vertex_count, plant.state_dim
     n_edges = topo.edge_count
@@ -396,7 +407,7 @@ def independent_rhs(sc, adapt):
             else:
                 u_i, _ = static_control(i, x, gains, float(clocks[i]), topo)
             s_dot[i] = plant.a @ s[i] + plant.b @ u_i
-            r_dot[i] = reference_derivative(plant, r[i], sc.family.value(i, t))
+            r_dot[i] = reference_derivative(plant, r[i], input_value(sc.family, i, t))
         clock_dot = clock_rates(
             ClockState(times=clocks, convention=sc.clock_convention), topo
         )
@@ -765,6 +776,27 @@ class TestImplicitDirectionStep:
             y[dyn.sl_c] = 100.0
             assert not dyn.layer_unresolved(y, sc.step)
 
+    @pytest.mark.parametrize("dense_max_dim", [sys.maxsize, 0], ids=["dense", "edge"])
+    @pytest.mark.parametrize("clock", [80.0, 100.0, 1000.0, 2000.0])
+    def test_layer_below_float_resolution(self, demo_gains, monkeypatch, clock, dense_max_dim):
+        # From equal states every w_e is exactly zero at the first step, and
+        # from t = 80 on the layer eps e^{-phi t} is too thin for the
+        # implicit matrix to keep its identity; at 2000 it underflows to
+        # zero, which an unfloored layer reads as resolved. The floored
+        # layer keeps every case implicit, finite and free of warnings.
+        monkeypatch.setattr(engine, "DENSE_MAX_DIM", dense_max_dim)
+        sc = demo_static_scenario(
+            demo_gains, r0=np.zeros((6, 2)), clocks0=np.full(6, clock), horizon=0.1
+        )
+        dyn = _Dynamics(sc)
+        assert dyn.dense is (dense_max_dim > 0)
+        assert dyn.layer_unresolved(dyn.pack(sc.initial_state()), sc.step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = run(sc)
+        assert np.all(np.isfinite(tr.u))
+        assert np.abs(tr.s.sum(axis=1)).max() <= 1e-9
+
     @pytest.mark.parametrize("system", ["demo", "mixed_inputs", "two_channels"])
     @pytest.mark.parametrize("synced", [True, False])
     def test_solves_the_implicit_equation(self, demo_gains, system, synced):
@@ -1108,8 +1140,9 @@ def ring_plus_chords(agents, seed):
 class TestStepPieces:
     """The pieces of the implicit step against the forms they replaced:
     the fixed-index matrix against one bincount over each edge's four
-    entries, the propagator against repeated products with the drift, and
-    the one equal-clock layer against the per-agent exponential."""
+    entries, the propagator against repeated products with the drift and
+    the affine step of both forms against four RK4 stages, and the one
+    equal-clock layer against the per-agent exponential."""
 
     @pytest.mark.parametrize("agents", range(2, 51))
     def test_fixed_index_matrix_is_the_bincount_build(self, agents):
@@ -1131,8 +1164,10 @@ class TestStepPieces:
                     expected = implicit_matrix_bincount(topo, dyn.kb, f_t, f_h)
                     assert np.array_equal(lhs, expected)
 
-    @pytest.mark.parametrize("inputs", ["sine", "constant"])
-    def test_propagator_matches_the_recursion(self, demo_gains, inputs):
+    @staticmethod
+    def _affine_system(demo_gains, inputs):
+        """An equal-clock static system with one input wave (a sine, or
+        constant inputs), compiled, and its initial state."""
         if inputs == "sine":
             fam = InputFamily(
                 specs=tuple(
@@ -1155,14 +1190,38 @@ class TestStepPieces:
             clocks0=np.full(6, 12.0),
         )
         dyn = _Dynamics(sc)
-        assert dyn.dense and dyn.uniform_wave
+        assert dyn.uniform_wave
         assert dyn.has_wave is (inputs == "sine")
-        y = dyn.pack(sc.initial_state())
+        return dyn, dyn.pack(sc.initial_state())
+
+    @pytest.mark.parametrize("inputs", ["sine", "constant"])
+    def test_propagator_matches_the_recursion(self, demo_gains, inputs):
+        dyn, y = self._affine_system(demo_gains, inputs)
+        assert dyn.dense
         # the propagator is built per step size: change it and change it back
         for t, dt in ((0.7, 1e-3), (3.1, 2.5e-4), (5.9, 1e-3)):
             got = dyn._affine_rk4(t, y, dt)
             expected = affine_rk4_recursion(dyn, t, y, dt)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            y = got
+
+    @pytest.mark.parametrize("dense_max_dim", [sys.maxsize, 0], ids=["dense", "edge"])
+    @pytest.mark.parametrize("inputs", ["sine", "constant"])
+    def test_affine_step_is_rk4_of_without_direction(
+        self, demo_gains, monkeypatch, inputs, dense_max_dim
+    ):
+        # an oracle apart from the polynomial: four stage evaluations of the
+        # derivative without its direction term, every block of the state
+        monkeypatch.setattr(engine, "DENSE_MAX_DIM", dense_max_dim)
+        dyn, y = self._affine_system(demo_gains, inputs)
+        assert dyn.dense is (dense_max_dim > 0)
+        for t, dt in ((0.7, 1e-3), (3.1, 2.5e-4), (5.9, 1e-3)):
+            got = dyn._affine_rk4(t, y, dt)
+            expected = rk4(dyn.without_direction, t, y, dt, False)
+            for block in (dyn.sl_s, dyn.sl_r, dyn.sl_c):
+                scale = np.max(np.abs(expected[block]))
+                assert np.max(np.abs(got[block] - expected[block])) <= 1e-13 * scale
+            assert np.array_equal(got[dyn.sl_c.stop :], y[dyn.sl_c.stop :])
             y = got
 
     @pytest.mark.parametrize("phi", [0.5, 0.0731])
@@ -1178,7 +1237,7 @@ class TestStepPieces:
         for clock in clocks:
             y[dyn.sl_c] = clock
             inv, inv_h = dyn._direction_coeffs(y, nrm, True)
-            layer = gains.eps * np.exp(-gains.phi * y[dyn.sl_c])
+            layer = np.maximum(gains.eps * np.exp(-gains.phi * y[dyn.sl_c]), dyn.layer_floor)
             assert inv_h is inv
             assert np.array_equal(inv, 1.0 / (nrm + layer[dyn.tails]))
 

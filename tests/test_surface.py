@@ -6,7 +6,7 @@ import re
 import pytest
 
 import avgtrack
-from avgtrack import clocksync, controllers, graph, matkernel
+from avgtrack import clocksync, controllers, graph, matkernel, signals
 
 from conftest import REPO_ROOT
 
@@ -22,6 +22,7 @@ ORACLES = (
     "pbh_rank_real",
     "clock_rates",
     "sig_half",
+    "reference_derivative",
 )
 
 
@@ -33,12 +34,17 @@ def test_every_exported_name_resolves(name):
 @pytest.mark.parametrize("name", ORACLES)
 def test_oracles_are_not_in_the_package(name):
     assert name not in avgtrack.__all__
-    for module in (avgtrack, clocksync, controllers, matkernel):
+    for module in (avgtrack, clocksync, controllers, matkernel, signals):
         assert not hasattr(module, name)
 
 
 def test_topology_has_no_neighbor_list():
     assert not hasattr(graph.Topology, "neighbors")
+
+
+def test_input_family_has_no_single_agent_value():
+    # the per-agent f_i(t) is tests/oracles.py's input_value
+    assert not hasattr(signals.InputFamily, "value")
 
 
 def test_readme_library_surface_imports():
