@@ -5,6 +5,14 @@ dimensions must be mutually consistent, and outputs are byte-identical
 across repeated invocations of the same configuration. Exit codes: 0
 success, 1 file/schema problems, 2 violated design assumptions, 3 numerical
 failures.
+
+With clock sync enabled, run and compare run the sync pre-phase in a second
+interpreter alongside tracking: tracking starts from the hand-over clock,
+which the inputs alone fix (clocksync.plan_sync), and the worker's outcome
+is read before any output is written. Outputs, exit codes and the stderr
+line are those of running the pre-phase first, and no worker outlives the
+CLI. Starting the worker costs about 0.3 s of interpreter start, which adds
+to the wall time on a single core.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clocksync import ATTRACTING, PAPER_LITERAL, clock_spread, run_sync
+from .clocksync import ATTRACTING, PAPER_LITERAL, clock_spread, plan_sync, run_sync
 from .controllers import design_adaptive_params, design_gains, omega_radii
 from .engine import Scenario, Trace, run, total_variation, tracking_error
 from .errors import ConfigError, DesignError, NumericalError
@@ -29,6 +37,15 @@ SEED_ENV_VAR = "AVGTRACK_SEED"
 
 # past 2**53, horizon / step is no longer a whole step count in a float
 _MAX_STEPS = 2.0**53
+
+# write_trace_csv formats at most this many values (64 KiB) at a time: the
+# whole table at once was the peak of a run's memory
+_CSV_VALUES = 8192
+
+# The sync worker's program (python -c, with the CLI's pid as argument): its
+# job arrives as one JSON line on stdin and its outcome leaves as JSON on
+# stdout.
+_SYNC_WORKER = "from avgtrack import cli; cli._sync_worker()"
 
 _TOP_KEYS = {
     "plant",
@@ -376,10 +393,13 @@ def write_trace_csv(trace: Trace, path: Path):
     header += [f"clock_{i}" for i in range(n_agents)]
     columns.append(trace.clocks)
 
-    table = np.hstack([col.reshape(trace.sample_count, -1) for col in columns])
+    blocks = [col.reshape(trace.sample_count, -1) for col in columns]
+    per_write = max(1, _CSV_VALUES // len(header))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        np.savetxt(fh, table, fmt="%.17g", delimiter=",")
+        for start in range(0, trace.sample_count, per_write):
+            rows = slice(start, start + per_write)
+            np.savetxt(fh, np.hstack([b[rows] for b in blocks]), fmt="%.17g", delimiter=",")
 
 
 def summarize(trace: Trace, gains, adapt, bundle: ScenarioBundle, sync_info=None) -> dict:
@@ -422,42 +442,173 @@ def cmd_gains(config_path, out_dir=None) -> int:
     return 0
 
 
+def _unstorable(key: str, what: str) -> ConfigError:
+    return ConfigError(f"{key}: {what} do not fit in memory")
+
+
 @contextmanager
 def _stored(key: str, what: str):
     """Turns a MemoryError storing what, set by config key, into a ConfigError."""
     try:
         yield
     except MemoryError as exc:
-        raise ConfigError(f"{key}: {what} do not fit in memory") from exc
+        raise _unstorable(key, what) from exc
 
 
-def _sync_pre_phase(bundle: ScenarioBundle):
-    """Run the clock-sync phase; returns (clocks0 for tracking, info dict)."""
-    spread = clock_spread(bundle.sync_offsets)
-    with _stored("clock_sync.initial_offsets", f"the sync steps for a spread of {spread:g}"):
-        result = run_sync(
-            bundle.topology,
-            bundle.sync_offsets,
-            convention=bundle.sync_convention,
-            tol=bundle.sync_tol,
-            step=bundle.sync_step,
-        )
-    info = {
-        "settled_at": result.settled_at,
-        "final_spread": float(result.spreads[-1]),
+def _sync_job(bundle: ScenarioBundle) -> dict:
+    """run_sync's inputs as JSON values, which round-trip floats exactly."""
+    return {
+        "vertices": bundle.topology.vertex_count,
+        "edges": bundle.topology.edges,
+        "offsets": bundle.sync_offsets.tolist(),
+        "convention": bundle.sync_convention,
         "tol": bundle.sync_tol,
+        "step": bundle.sync_step,
     }
-    if result.settled_at is None:
+
+
+def _sync_outcome(job: dict) -> dict:
+    """Runs the sync of a _sync_job: its settled_at and final spread, or
+    unstorable when its steps do not fit in memory."""
+    try:
+        result = run_sync(
+            Topology(job["vertices"], job["edges"]),
+            np.array(job["offsets"]),
+            convention=job["convention"],
+            tol=job["tol"],
+            step=job["step"],
+        )
+    except MemoryError:
+        return {"unstorable": True}
+    return {"settled_at": result.settled_at, "final_spread": clock_spread(result.clocks[-1])}
+
+
+def _sync_worker():
+    """The sync worker's body: the outcome of the job read from stdin. It
+    ends itself within 0.1 s of its parent, whose pid is its argument: a
+    signal such as SIGTERM ends the parent without clean-up."""
+    import threading
+    import time
+
+    parent = int(sys.argv[1])
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+    print(json.dumps(_sync_outcome(json.loads(sys.stdin.readline()))))
+
+
+def _sync_info(bundle: ScenarioBundle, outcome: dict) -> dict:
+    """The clock_sync block of a sync outcome, or the sync's failure."""
+    if outcome.get("unstorable"):
+        spread = clock_spread(bundle.sync_offsets)
+        raise _unstorable(
+            "clock_sync.initial_offsets", f"the sync steps for a spread of {spread:g}"
+        )
+    if outcome["settled_at"] is None:
         raise NumericalError(
             f"clock synchronization did not settle below {bundle.sync_tol}"
         )
-    # hand the tracking phase exactly equal clocks at the settled value
-    return np.full(bundle.topology.vertex_count, result.handover), info
+    return {
+        "settled_at": outcome["settled_at"],
+        "final_spread": outcome["final_spread"],
+        "tol": bundle.sync_tol,
+    }
+
+
+def _handover_clocks(bundle: ScenarioBundle) -> np.ndarray:
+    """Exactly equal clocks at the sync's hand-over value; raises the sync's
+    ValueErrors (run_sync's argument checks)."""
+    plan = plan_sync(
+        bundle.topology.vertex_count,
+        bundle.sync_offsets,
+        convention=bundle.sync_convention,
+        tol=bundle.sync_tol,
+        step=bundle.sync_step,
+    )
+    return np.full(bundle.topology.vertex_count, plan.handover)
+
+
+def _sync_pre_phase(bundle: ScenarioBundle):
+    """Run the clock-sync phase in this process; returns (clocks0 for
+    tracking, info dict)."""
+    clocks0 = _handover_clocks(bundle)
+    return clocks0, _sync_info(bundle, _sync_outcome(_sync_job(bundle)))
+
+
+def _worker_outcome(proc) -> dict:
+    """The outcome the sync worker printed; what it wrote to stderr
+    (warnings) goes to stderr, as it did with the sync in process. A worker
+    that exits without an outcome is a NumericalError."""
+    out, err = proc.communicate()
+    text = err.decode(errors="replace")
+    if proc.returncode == 0:
+        try:
+            outcome = json.loads(out)
+        except ValueError:
+            pass
+        else:
+            sys.stderr.write(text)
+            return outcome
+    last = (text or out.decode(errors="replace")).splitlines() or ["no output"]
+    raise NumericalError(
+        f"clock synchronization worker exited with code {proc.returncode} and no "
+        f"result: {last[-1]}"
+    )
+
+
+@contextmanager
+def _sync_alongside(bundle: ScenarioBundle):
+    """Yields (clocks0 for tracking, finish): finish() waits for the sync
+    pre-phase and returns its clock_sync block, or raises its failure. With
+    sync off, (None, a finish returning None). The pre-phase runs in a
+    second interpreter, started here, which is killed and waited for on any
+    exit; where none can be started it runs here, first."""
+    if not bundle.sync_enabled:
+        yield None, lambda: None
+        return
+    clocks0 = _handover_clocks(bundle)
+    import subprocess  # runs without a sync pre-phase do not load it
+
+    # the worker imports avgtrack from where this process did, not from its cwd
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _SYNC_WORKER, str(os.getpid())],
+            env=dict(os.environ, PYTHONPATH=path, PYTHONSAFEPATH="1"),
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+    except OSError:  # no second process to be had
+        proc = None
+    if proc is None:
+        info = _sync_pre_phase(bundle)[1]
+        yield clocks0, lambda: info
+        return
+    try:
+        try:
+            # one line: stdin stays open until communicate() closes it
+            proc.stdin.write(json.dumps(_sync_job(bundle)).encode() + b"\n")
+            proc.stdin.flush()
+        except BrokenPipeError:
+            pass  # the worker is gone; _worker_outcome reports it
+        yield clocks0, lambda: _sync_info(bundle, _worker_outcome(proc))
+    finally:
+        if proc.returncode is None:  # not waited for: stop it
+            proc.kill()
+            proc.communicate()
 
 
 def _simulate(config_path, out_dir, directions, horizon=None, step=None):
     """Load, design, sync when enabled and run once per entry of directions
-    (True: discontinuous). Returns (bundle, gains, adapt, sync_info, traces, out)."""
+    (True: discontinuous), tracking while the sync runs alongside. A failed
+    sync is reported before any tracking failure, as when it ran first.
+    Returns (bundle, gains, adapt, sync_info, traces, out)."""
     if horizon is not None:
         horizon = _number(horizon, "--horizon", nonnegative=True)
     if step is not None:
@@ -468,23 +619,27 @@ def _simulate(config_path, out_dir, directions, horizon=None, step=None):
     )
     bundle = ScenarioBundle(load_config(config_path))
     gains, adapt = bundle.design()
-    sync_info = clocks0 = None
-    if bundle.sync_enabled:
-        clocks0, sync_info = _sync_pre_phase(bundle)
-    traces = []
-    for discontinuous in directions:
-        scenario = bundle.scenario(
-            gains, adapt, horizon=horizon, step=step, discontinuous=discontinuous,
-            clocks0=clocks0,
-        )
-        if scenario.horizon / scenario.step > _MAX_STEPS:
-            raise ConfigError(
-                f"{length_key}: {scenario.horizon:g} s in steps of {scenario.step:g} s "
-                f"is past float resolution (more than 2**53 steps)"
-            )
-        samples = scenario.steps // scenario.sample_every + 1
-        with _stored(length_key, f"{samples} trace samples"):
-            traces.append(run(scenario))
+    with _sync_alongside(bundle) as (clocks0, finish_sync):
+        traces = []
+        try:
+            for discontinuous in directions:
+                scenario = bundle.scenario(
+                    gains, adapt, horizon=horizon, step=step,
+                    discontinuous=discontinuous, clocks0=clocks0,
+                )
+                if scenario.horizon / scenario.step > _MAX_STEPS:
+                    raise ConfigError(
+                        f"{length_key}: {scenario.horizon:g} s in steps of "
+                        f"{scenario.step:g} s is past float resolution (more than "
+                        f"2**53 steps)"
+                    )
+                samples = scenario.steps // scenario.sample_every + 1
+                with _stored(length_key, f"{samples} trace samples"):
+                    traces.append(run(scenario))
+        except Exception:
+            finish_sync()
+            raise
+        sync_info = finish_sync()
 
     out = Path(out_dir) if out_dir is not None else bundle.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,10 @@ matkernel.rk4. The simulation engine's clock rows scatter its per-edge
 term, edge_coupling, through the engine's edge operators, which gives
 clock_law bit for bit, and the engine calls clock_law itself where it
 steps everything but the direction term.
+
+plan_sync fixes the phase's length and its hand-over clock from the inputs
+alone, so a caller can start tracking from SyncPlan.handover while run_sync
+still runs: the CLI runs it in a second interpreter alongside tracking.
 """
 
 from __future__ import annotations
@@ -37,8 +41,14 @@ def coupling_sign(convention: str) -> float:
     return -1.0 if convention == ATTRACTING else 1.0
 
 
-def clock_spread(clocks) -> np.ndarray:
-    """max_i t_i - min_i t_i over the last axis: per sample of a trajectory."""
+def clock_spread(clocks) -> np.ndarray | float:
+    """max_i t_i - min_i t_i over the last axis: per sample of a trajectory,
+    or a float for one clock vector."""
+    if clocks.ndim == 1:
+        # the stop test of every sync step: Python's max and min of a short
+        # list cost less than two numpy reductions, and both are exact
+        values = clocks.tolist()
+        return max(values) - min(values)
     # not np.ptp, whose subtract holds both reductions and a third array; the
     # operator reuses the temporary max in place
     return clocks.max(axis=-1) - clocks.min(axis=-1)
@@ -105,10 +115,63 @@ class SyncResult:
 
     @property
     def handover(self) -> float:
-        """Common clock at the end of the phase, mean(initial) + horizon: each
-        edge's coupling is antisymmetric, so the mean clock runs at rate 1 and
-        this is where the full-horizon trajectory's mean ends, less roundoff."""
-        return float(self.clocks[0].mean() + self.horizon)
+        """Common clock at the end of the phase: SyncPlan.handover."""
+        return _handover(self.clocks[0], self.horizon)
+
+
+def _handover(initial: np.ndarray, horizon: float) -> float:
+    # each edge's coupling is antisymmetric, so the mean clock runs at rate 1
+    # and this is where the full-horizon trajectory's mean ends, less roundoff
+    return float(initial.mean() + horizon)
+
+
+@dataclass(frozen=True)
+class SyncPlan:
+    """A sync pre-phase fixed before it runs: validated initial clocks and a
+    whole number of steps of the given size."""
+
+    state: ClockState
+    step: float
+    steps: int
+
+    @property
+    def horizon(self) -> float:
+        return self.steps * self.step
+
+    @property
+    def handover(self) -> float:
+        """Common clock at the end of the phase, mean(initial) + horizon,
+        which run_sync's result reports bit for bit."""
+        return _handover(self.state.times, self.horizon)
+
+
+def plan_sync(
+    vertex_count: int,
+    initial,
+    convention: str = ATTRACTING,
+    tol: float = 1e-9,
+    step: float = 1e-5,
+    horizon: float | None = None,
+) -> SyncPlan:
+    """Checks run_sync's arguments and fixes its length: ValueError for a
+    tol or step that is not positive, a step too coarse for tol, bad clocks
+    or convention, or a clock count other than vertex_count. The horizon
+    defaults to max(1, 4 sqrt(max(spread, tol))), a generous multiple of the
+    worst-offset settling estimate, and is rounded to whole steps."""
+    if tol <= 0.0 or step <= 0.0:
+        raise ValueError("tol and step must be positive")
+    if 2.0 * step * step >= tol:
+        raise ValueError(
+            f"step {step} too coarse for tol {tol}: the residual spread of the "
+            f"discretized dynamics is about 2*step^2"
+        )
+    state = ClockState(times=initial, convention=convention)
+    if state.times.shape[0] != vertex_count:
+        raise ValueError("initial clock vector and topology disagree on the agent count")
+    if horizon is None:
+        # two-agent closed form settles at sqrt(offset); scale up for safety
+        horizon = max(1.0, 4.0 * np.sqrt(max(state.spread, tol)))
+    return SyncPlan(state=state, step=step, steps=int(round(horizon / step)))
 
 
 def run_sync(
@@ -122,40 +185,26 @@ def run_sync(
     """Integrate the clock dynamics until the spread reaches its
     discretization floor.
 
-    Classical fourth-order steps of clock_law at the given size; the
-    horizon defaults to a generous multiple of the worst-offset settling
-    estimate. The discrete dynamics park on a residual limit cycle of
-    spread roughly 2 * step^2 around the synchronized manifold, so the step
-    must satisfy 2 * step^2 < tol (the default pairs with tol = 1e-9), and
-    stepping stops at the first step whose spread is at or below 2 * step^2:
-    from there on the spread stays below tol. A spread that never gets there
-    (the literal-plus convention) is stepped to the horizon.
+    Classical fourth-order steps of clock_law at the given size, for the
+    length plan_sync fixes (which also checks the arguments). The discrete
+    dynamics park on a residual limit cycle of spread roughly 2 * step^2
+    around the synchronized manifold, so the step must satisfy
+    2 * step^2 < tol (the default pairs with tol = 1e-9), and stepping stops
+    at the first step whose spread is at or below 2 * step^2: from there on
+    the spread stays below tol. A spread that never gets there (the
+    literal-plus convention) is stepped to the horizon.
 
     Returns the trajectory up to the last step taken, so settling can be
     audited; ``settled_at`` is None when the spread never stayed below tol.
     ``handover`` is the common clock at the horizon either way.
     """
-    if tol <= 0.0 or step <= 0.0:
-        raise ValueError("tol and step must be positive")
-    floor = 2.0 * step * step
-    if floor >= tol:
-        raise ValueError(
-            f"step {step} too coarse for tol {tol}: the residual spread of the "
-            f"discretized dynamics is about 2*step^2"
-        )
-    state = ClockState(times=initial, convention=convention)
-    times0 = state.times
     n = topology.vertex_count
-    if times0.shape[0] != n:
-        raise ValueError("initial clock vector and topology disagree on the agent count")
-    if horizon is None:
-        # two-agent closed form settles at sqrt(offset); scale up for safety
-        horizon = max(1.0, 4.0 * np.sqrt(max(state.spread, tol)))
-
-    sigma = coupling_sign(state.convention)
+    plan = plan_sync(n, initial, convention, tol, step, horizon)
+    times0, steps = plan.state.times, plan.steps
+    floor = 2.0 * step * step
+    sigma = coupling_sign(convention)
     sources, targets = topology.arcs()
 
-    steps = int(round(horizon / step))
     # sized for the whole horizon, so that a horizon too long to store fails
     # here; rows past the stop are never written, so never resident
     try:
@@ -175,7 +224,7 @@ def run_sync(
         times=times,
         clocks=clocks,
         settled_at=settling_time(times, clock_spread(clocks), tol),
-        horizon=steps * step,
+        horizon=plan.horizon,
     )
 
 

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import avgtrack
+from avgtrack import cli
 from avgtrack.cli import (
     ScenarioBundle,
     _sync_pre_phase,
@@ -15,7 +17,8 @@ from avgtrack.cli import (
     main,
     validate_config,
 )
-from avgtrack.errors import ConfigError
+from avgtrack.engine import run
+from avgtrack.errors import ConfigError, NumericalError
 
 from conftest import DEMO_CONFIG, STATIC_CONFIG
 
@@ -35,6 +38,16 @@ def tiny_config(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+SETTLING_SYNC = {"enabled": True, "initial_offsets": [0.01, -0.01], "tol": 1e-9, "step": 1e-5}
+DIVERGING_SYNC = {
+    "enabled": True,
+    "initial_offsets": [0.5, -0.5],
+    "convention": "paper_literal",
+    "tol": 1e-6,
+    "step": 1e-4,
+}
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -119,16 +132,7 @@ class TestExitCodes:
         assert "stabilizable" in err
 
     def test_diverging_clock_sync_is_three(self, tmp_path, capsys):
-        doc = tiny_config(
-            clock_sync={
-                "enabled": True,
-                "initial_offsets": [0.5, -0.5],
-                "convention": "paper_literal",
-                "tol": 1e-6,
-                "step": 1e-4,
-            }
-        )
-        path = write_config(tmp_path, doc)
+        path = write_config(tmp_path, tiny_config(clock_sync=DIVERGING_SYNC))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert capsys.readouterr().err.startswith("numeric-error:")
 
@@ -394,16 +398,23 @@ class TestRunCommand:
         assert first != second
         assert second == third
 
-    def test_sync_pre_phase_recorded(self, tmp_path):
-        doc = tiny_config(
-            clock_sync={
-                "enabled": True,
-                "initial_offsets": [0.01, -0.01],
-                "tol": 1e-9,
-                "step": 1e-5,
-            }
-        )
+    def test_trace_rows_span_write_blocks(self, tmp_path):
+        doc = tiny_config(integrator={"step": 0.01, "horizon": 30.0, "stride": 1})
         path = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        bundle = ScenarioBundle(load_config(path))
+        trace = run(bundle.scenario(*bundle.design()))
+        assert trace.sample_count > 2 * cli._CSV_VALUES // 12
+        table = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        samples = trace.sample_count
+        assert table.shape == (samples, 12)
+        assert np.array_equal(table[:, 0], trace.times)
+        assert np.array_equal(table[:, 1:3], trace.x.reshape(samples, -1))
+        assert np.array_equal(table[:, -2:], trace.clocks)
+
+    def test_sync_pre_phase_recorded(self, tmp_path):
+        path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
         out = tmp_path / "out"
         assert main(["run", str(path), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -421,6 +432,168 @@ class TestSyncHandOver:
         assert info["final_spread"] == 1.8663454115497302e-10
         assert clocks0.shape == (6,)
         assert np.all(clocks0 == 1.2016666666666669)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_tracking(scenario):
+    raise NumericalError("tracking failed")
+
+
+class TestSyncWorker:
+    """The sync pre-phase runs in a second interpreter alongside tracking;
+    outputs, exit codes and stderr are those of running it first."""
+
+    def test_run_block_is_the_in_process_pre_phase(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(STATIC_CONFIG), "--horizon", "1", "--out", str(out)]) == 0
+        assert_no_child_left()
+        _, info = _sync_pre_phase(ScenarioBundle(load_config(STATIC_CONFIG)))
+        assert json.loads((out / "summary.json").read_text())["clock_sync"] == info
+
+    def test_compare_block_is_the_in_process_pre_phase(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["compare", str(STATIC_CONFIG), "--out", str(out)]) == 0
+        assert_no_child_left()
+        _, info = _sync_pre_phase(ScenarioBundle(load_config(STATIC_CONFIG)))
+        assert json.loads((out / "comparison.json").read_text())["clock_sync"] == info
+
+    def test_tracking_failure_is_three_with_no_child_left(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("avgtrack.cli.run", fail_tracking)
+        path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "numeric-error: tracking failed\n"
+        assert_no_child_left()
+        assert not (tmp_path / "out").exists()
+
+    def test_sync_failure_beats_tracking_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("avgtrack.cli.run", fail_tracking)
+        path = write_config(tmp_path, tiny_config(clock_sync=DIVERGING_SYNC))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err == "numeric-error: clock synchronization did not settle below 1e-06\n"
+        assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "program",
+        [
+            "raise SystemExit(7)",
+            "print('no outcome')",
+            "import os, signal; os.kill(os.getpid(), signal.SIGKILL)",
+        ],
+        ids=["exit-code", "no-json", "killed"],
+    )
+    def test_worker_without_a_result_is_three(self, tmp_path, capsys, monkeypatch, program):
+        monkeypatch.setattr("avgtrack.cli._SYNC_WORKER", program)
+        path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric-error: clock synchronization worker exited")
+        assert len(err.strip().splitlines()) == 1
+        assert_no_child_left()
+        assert not (tmp_path / "out").exists()
+
+    def test_interrupt_kills_the_worker(self, tmp_path, capsys, monkeypatch):
+        def interrupt(scenario):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("avgtrack.cli._SYNC_WORKER", "import time; time.sleep(60)")
+        monkeypatch.setattr("avgtrack.cli.run", interrupt)
+        path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(path), "--out", str(tmp_path / "out")])
+        assert time.monotonic() - started < 30.0
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_worker_ends_with_a_terminated_cli(self, tmp_path):
+        # SIGTERM ends the CLI without clean-up; the worker must notice.
+        # The diverging sync runs its full 120 000 steps, several seconds.
+        doc = json.loads(STATIC_CONFIG.read_text())
+        doc["clock_sync"]["convention"] = "paper_literal"
+        path = write_config(tmp_path, doc)
+        env = dict(os.environ, PYTHONPATH=str(Path(avgtrack.__file__).resolve().parents[1]))
+        cli_proc = subprocess.Popen(
+            [sys.executable, "-m", "avgtrack.cli", "run", str(path), "--out", str(tmp_path / "out")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+
+        def running_children():
+            found = []
+            for entry in os.listdir("/proc"):
+                try:
+                    stat = Path(f"/proc/{entry}/stat").read_text().rsplit(")", 1)[1].split()
+                except (OSError, IndexError):
+                    continue
+                if stat[1] == str(cli_proc.pid) and stat[0] != "Z":
+                    found.append(int(entry))
+            return found
+
+        try:
+            deadline = time.monotonic() + 20.0
+            while not running_children() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            workers = running_children()
+            assert workers
+            cli_proc.terminate()
+            cli_proc.wait(timeout=20.0)
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline:
+                stats = [Path(f"/proc/{w}/stat") for w in workers]
+                if all(
+                    not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] == "Z"
+                    for stat in stats
+                ):
+                    break
+                time.sleep(0.02)
+            else:
+                pytest.fail("the sync worker outlived its CLI")
+        finally:
+            cli_proc.kill()
+            cli_proc.wait()
+
+    def test_argument_errors_come_before_the_worker(self, tmp_path, capsys, monkeypatch):
+        def no_worker(*args, **kwargs):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(subprocess, "Popen", no_worker)
+        sync = dict(SETTLING_SYNC, step=1e-3)
+        path = write_config(tmp_path, tiny_config(clock_sync=sync))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema-error: step 0.001 too coarse for tol 1e-09")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_sync_runs_in_process_when_no_worker_starts(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
+        assert main(["run", str(path), "--out", str(tmp_path / "worker")]) == 0
+
+        def no_process(*args, **kwargs):
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+        assert main(["run", str(path), "--out", str(tmp_path / "here")]) == 0
+        for name in ("summary.json", "trace.csv"):
+            here = (tmp_path / "here" / name).read_bytes()
+            assert here == (tmp_path / "worker" / name).read_bytes()
+
+    def test_dev_mode_run_is_silent(self, tmp_path):
+        # -X dev shows a pipe never closed or a worker never waited for as a
+        # ResourceWarning, which -W error makes an error on stderr
+        path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
+        env = dict(os.environ, PYTHONPATH=str(Path(avgtrack.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c",
+             "import sys; from avgtrack.cli import main; sys.exit(main())",
+             "run", str(path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
 
 
 class TestCompareCommand:

@@ -8,6 +8,7 @@ from avgtrack.clocksync import (
     ClockState,
     clock_law,
     clock_spread,
+    plan_sync,
     run_sync,
     settling_time,
 )
@@ -17,6 +18,13 @@ from conftest import demo_topology
 from oracles import clock_rates, full_horizon_sync, sig_half
 
 PAIR = Topology(vertex_count=2, edges=((0, 1),))
+
+SHIPPED_OFFSETS = np.array([0.05, -0.03, 0.02, 0.0, -0.04, 0.01])
+# the benchmark's static_sync workload at seed 1: spread 0.09, unequal steps
+SEEDED_OFFSETS = np.array([
+    -0.045, -0.02605360717070212, 0.03707186761637826, 0.028567471108517685,
+    0.03719477010110978, 0.045,
+])
 
 
 class TestSigHalf:
@@ -91,6 +99,58 @@ class TestClockLaw:
         topo = demo_topology()
         law = clock_law(0.0, np.full(6, 3.25), -1.0, *topo.arcs())
         assert np.array_equal(law, np.ones(6))
+
+
+class TestClockSpread:
+    def test_one_vector_equals_the_array_form(self):
+        rng = np.random.default_rng(16)
+        rows = np.vstack([
+            rng.uniform(-1.0, 1.0, (20, 6)),
+            1e6 + rng.normal(scale=1e-9, size=(20, 6)),
+            np.full((1, 6), 3.25),
+            np.zeros((1, 6)),
+        ])
+        spreads = clock_spread(rows)
+        for row, spread in zip(rows, spreads):
+            one = clock_spread(row)
+            assert type(one) is float
+            assert one == spread
+        assert spreads[-2] == spreads[-1] == 0.0
+
+
+class TestPlanSync:
+    @pytest.mark.parametrize(
+        "offsets, convention, tol, step, horizon",
+        [
+            (SHIPPED_OFFSETS, ATTRACTING, 1e-9, 1e-5, None),
+            (SEEDED_OFFSETS, ATTRACTING, 1e-6, 1e-4, None),
+            (np.zeros(6), ATTRACTING, 1e-9, 1e-5, None),
+            (SHIPPED_OFFSETS, PAPER_LITERAL, 1e-6, 1e-4, None),
+            (SEEDED_OFFSETS, ATTRACTING, 1e-6, 1e-4, 0.5),
+        ],
+        ids=["shipped", "seeded", "zero", "paper-literal", "explicit-horizon"],
+    )
+    def test_handover_is_run_syncs(self, offsets, convention, tol, step, horizon):
+        plan = plan_sync(6, offsets, convention, tol, step, horizon)
+        result = run_sync(demo_topology(), offsets, convention, tol, step, horizon)
+        assert plan.horizon == result.horizon
+        assert plan.handover == result.handover
+
+    @pytest.mark.parametrize(
+        "count, offsets, convention, tol, step, match",
+        [
+            (2, [1.0, 0.0], ATTRACTING, 0.0, 1e-5, "positive"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, -1e-5, "positive"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-3, "too coarse"),
+            (3, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, "agent count"),
+            (2, [np.inf, 0.0], ATTRACTING, 1e-9, 1e-5, "finite"),
+            (2, [1.0, 0.0], "repelling", 1e-9, 1e-5, "convention"),
+        ],
+        ids=["tol", "step", "coarse", "count", "nonfinite", "convention"],
+    )
+    def test_checks_run_syncs_arguments(self, count, offsets, convention, tol, step, match):
+        with pytest.raises(ValueError, match=match):
+            plan_sync(count, offsets, convention, tol, step)
 
 
 class TestRunSync:
