@@ -16,19 +16,17 @@ from .controllers import (
 )
 from .engine import (
     Scenario,
-    SimState,
     Trace,
     consensus_error,
     decay_check,
     lyapunov_v1,
     lyapunov_v2,
     run,
-    step_rk4,
     total_variation,
     tracking_error,
 )
 from .errors import ConfigError, DesignError, NumericalError
-from .graph import Topology, centering_matrix, incidence, is_connected, lambda2, laplacian
+from .graph import Topology, incidence, is_connected, lambda2, laplacian
 from .matkernel import is_hurwitz, is_stabilizable, solve_care, solve_lyapunov, sym_eigen
 from .signals import ConstantInput, InputFamily, Plant, SinusoidInput, ZeroInput
 
@@ -46,12 +44,10 @@ __all__ = [
     "OmegaRadii",
     "Plant",
     "Scenario",
-    "SimState",
     "SinusoidInput",
     "Topology",
     "Trace",
     "ZeroInput",
-    "centering_matrix",
     "consensus_error",
     "decay_check",
     "design_adaptive_params",
@@ -70,7 +66,6 @@ __all__ = [
     "settling_time",
     "solve_care",
     "solve_lyapunov",
-    "step_rk4",
     "sym_eigen",
     "total_variation",
     "tracking_error",

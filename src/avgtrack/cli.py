@@ -532,13 +532,6 @@ def _handover_clocks(bundle: ScenarioBundle) -> np.ndarray:
     return np.full(bundle.topology.vertex_count, plan.handover)
 
 
-def _sync_pre_phase(bundle: ScenarioBundle):
-    """Run the clock-sync phase in this process; returns (clocks0 for
-    tracking, info dict)."""
-    clocks0 = _handover_clocks(bundle)
-    return clocks0, _sync_info(bundle, _sync_outcome(_sync_job(bundle)))
-
-
 def _worker_outcome(proc) -> dict:
     """The outcome the sync worker printed; what it wrote to stderr
     (warnings) goes to stderr, as it did with the sync in process. A worker
@@ -587,7 +580,7 @@ def _sync_alongside(bundle: ScenarioBundle):
     except OSError:  # no second process to be had
         proc = None
     if proc is None:
-        info = _sync_pre_phase(bundle)[1]
+        info = _sync_info(bundle, _sync_outcome(_sync_job(bundle)))
         yield clocks0, lambda: info
         return
     try:

@@ -93,21 +93,6 @@ def _matrix_of(linear_map, n_in: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SimState:
-    """Snapshot of the coupled system. x is derived as s + r."""
-
-    s: np.ndarray  # (N, n) filter states
-    r: np.ndarray  # (N, n) reference states
-    clocks: np.ndarray  # (N,) local times
-    alpha: np.ndarray  # (E,) per-edge adaptive gains
-    beta: np.ndarray  # (E,)
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.s + self.r
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Everything one simulation needs, validated at construction.
 
@@ -135,11 +120,12 @@ class Scenario:
             raise ValueError(f"controller must be one of {_CONTROLLERS}")
         if self.controller == "adaptive" and self.adapt is None:
             raise ValueError("adaptive controller requires adaptive parameters")
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
-        if self.horizon < 0.0:
-            raise ValueError("horizon must be nonnegative")
-        if int(self.sample_every) != self.sample_every or self.sample_every < 1:
+        if not (math.isfinite(self.step) and self.step > 0.0):
+            raise ValueError("step must be positive and finite")
+        if not (math.isfinite(self.horizon) and self.horizon >= 0.0):
+            raise ValueError("horizon must be nonnegative and finite")
+        every = self.sample_every
+        if not (math.isfinite(every) and every == int(every) and every >= 1):
             raise ValueError("sample_every must be a positive integer")
         coupling_sign(self.clock_convention)
         if self.family.agent_count != self.topology.vertex_count:
@@ -180,23 +166,14 @@ class Scenario:
     def steps(self) -> int:
         return int(round(self.horizon / self.step))
 
-    def initial_state(self) -> SimState:
-        e = self.topology.edge_count
-        return SimState(
-            s=self.s0.copy(),
-            r=self.r0.copy(),
-            clocks=self.clocks0.copy(),
-            alpha=np.zeros(e),
-            beta=np.zeros(e),
-        )
-
 
 class _Dynamics:
     """Scenario-compiled right-hand side of the stacked ODE.
 
-    __call__(t, y) evaluates the derivative; controls(t, y) reproduces the
-    stacked control inputs u (N, p) for trace sampling. implicit_step takes
-    the steps that layer_unresolved assigns to it.
+    __call__(t, y) evaluates the derivative; advance(t, y, dt) takes one
+    step, RK4 or, where layer_unresolved says so, implicit_step;
+    controls(t, y) reproduces the stacked control inputs u (N, p) for trace
+    sampling.
 
     The edge operators define each law: _gather_edges forms the edge
     quantities and _rates_edges, linear in the state, the per-edge terms
@@ -524,6 +501,14 @@ class _Dynamics:
 
     # -- past the resolution limit -------------------------------------------
 
+    def advance(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+        """One step of the stacked system from (t, y): classical
+        fourth-order Runge-Kutta while it resolves the boundary layer, and
+        implicit_step past that (see layer_unresolved)."""
+        if self.layer_unresolved(y, dt):
+            return self.implicit_step(t, y, dt)
+        return rk4(self, t, y, dt)
+
     def layer_unresolved(self, y: np.ndarray, dt: float) -> bool:
         """Whether RK4 at step dt no longer resolves the c2-weighted
         direction term at y: dt * stiffness / delta_min exceeds
@@ -686,29 +671,6 @@ class _Dynamics:
         z_t, z_h = (z.reshape(shape) for z in self._edge_inputs(y, w, inv_t, inv_h))
         return self._control(y, w.reshape(shape), z_t, z_h)
 
-    # -- state packing -----------------------------------------------------
-
-    def pack(self, state: SimState) -> np.ndarray:
-        return np.concatenate(
-            [
-                np.asarray(state.s, dtype=float).ravel(),
-                np.asarray(state.r, dtype=float).ravel(),
-                np.asarray(state.clocks, dtype=float).ravel(),
-                np.asarray(state.alpha, dtype=float).ravel(),
-                np.asarray(state.beta, dtype=float).ravel(),
-            ]
-        )
-
-    def unpack(self, y: np.ndarray) -> SimState:
-        n_agents, n = self.n_agents, self.n
-        return SimState(
-            s=y[self.sl_s].reshape(n_agents, n).copy(),
-            r=y[self.sl_r].reshape(n_agents, n).copy(),
-            clocks=y[self.sl_c].copy(),
-            alpha=y[self.sl_a].copy(),
-            beta=y[self.sl_b].copy(),
-        )
-
     def component_name(self, flat_index: int) -> str:
         """Human-readable name of a flat state entry, for blow-up reports."""
         n_agents, n = self.n_agents, self.n
@@ -752,38 +714,6 @@ class Trace:
         return self.times.shape[0]
 
 
-def _advance(dyn: _Dynamics, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One step of the stacked system from (t, y): classical fourth-order
-    Runge-Kutta while it resolves the boundary layer, and
-    _Dynamics.implicit_step past that (see _Dynamics.layer_unresolved)."""
-    if dyn.layer_unresolved(y, dt):
-        return dyn.implicit_step(t, y, dt)
-    return rk4(dyn, t, y, dt)
-
-
-def step_rk4(state: SimState, scenario: Scenario, dt: float, t: float = 0.0) -> SimState:
-    """One step of the stacked system, through the same step code as run:
-    classical fourth-order Runge-Kutta, or, once dt cannot resolve the
-    boundary layer, RK4 plus a linearly implicit Euler step of the
-    c2-weighted direction term.
-
-    Each call compiles the scenario, which run does once: at N = 6 that
-    takes a few milliseconds, about a hundred RK4 steps' worth (2-vCPU x86
-    VM), most of it reading the dense form off the edge operators; an
-    equal-clock implicit step reads its propagator off them too, a few
-    milliseconds more.
-
-    Deterministic: identical inputs produce bit-identical outputs. Raises
-    NumericalError naming the first non-finite component on blow-up.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    dyn = _Dynamics(scenario)
-    y = _advance(dyn, t, dyn.pack(state), dt)
-    _check_finite(dyn, y, t + dt)
-    return dyn.unpack(y)
-
-
 def _check_finite(dyn: _Dynamics, y: np.ndarray, t: float):
     if not np.all(np.isfinite(y)):
         bad = int(np.nonzero(~np.isfinite(y))[0][0])
@@ -818,7 +748,10 @@ def run(scenario: Scenario) -> Trace:
     b_out = np.empty((n_samples, n_edges))
     u_out = np.empty((n_samples, n_agents, p))
 
-    y = dyn.pack(scenario.initial_state())
+    # the layout of _Dynamics, the adaptive gains starting at zero
+    y = np.concatenate(
+        (scenario.s0.ravel(), scenario.r0.ravel(), scenario.clocks0, np.zeros(2 * n_edges))
+    )
     dt = scenario.step
     sample_every = scenario.sample_every
 
@@ -838,7 +771,7 @@ def run(scenario: Scenario) -> Trace:
             u_out[sample] = dyn.controls(t, y)
             sample += 1
         if k < steps:
-            y = _advance(dyn, t, y, dt)
+            y = dyn.advance(t, y, dt)
 
     gains, adapt = scenario.gains, scenario.adapt
     xi, xi_norm = consensus_error(s_out + r_out)

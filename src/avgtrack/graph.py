@@ -111,10 +111,3 @@ def lambda2(t: Topology) -> float:
     if t.vertex_count == 1:
         raise DesignError("single-vertex graph has no coupling spectrum")
     return float(sym_eigen(laplacian(t)).values[1])
-
-
-def centering_matrix(n: int) -> np.ndarray:
-    """M = I - (1/N) * ones: idempotent projector removing the mean."""
-    if n < 1:
-        raise ValueError("N must be positive")
-    return np.eye(n) - np.full((n, n), 1.0 / n)

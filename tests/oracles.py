@@ -3,7 +3,8 @@ reference derivative, of the edge laws, of the clock law and of the real PBH
 rank test, kept as independent oracles for the compiled engine,
 clocksync.clock_law and the complex PBH test in the package, and the
 clock-sync pre-phase stepped to its full horizon, the oracle for the sync's
-stop rule.
+stop rule. Also the centering matrix and the engine's flat state layout,
+which only the tests need.
 
 Each law is written agent by agent and edge by edge, straight from its
 formula, so the tests can check the engine's fused and edge-indexed
@@ -296,3 +297,24 @@ def affine_rk4_recursion(dyn, t: float, y, dt: float) -> np.ndarray:
         ]
     )
     return y + coef.dot(powers)
+
+
+def centering_matrix(n: int) -> np.ndarray:
+    """M = I - (1/N) * ones: idempotent projector removing the mean."""
+    if n < 1:
+        raise ValueError("N must be positive")
+    return np.eye(n) - np.full((n, n), 1.0 / n)
+
+
+def pack_state(s, r, clocks, alpha, beta) -> np.ndarray:
+    """The engine's flat state y = [s | r | clocks | alpha | beta]."""
+    return np.concatenate(
+        [np.asarray(part, dtype=float).ravel() for part in (s, r, clocks, alpha, beta)]
+    )
+
+
+def start_vector(scenario) -> np.ndarray:
+    """A scenario's initial state, packed, its adaptive gains at zero: the
+    vector engine.run starts from."""
+    gains = np.zeros(scenario.topology.edge_count)
+    return pack_state(scenario.s0, scenario.r0, scenario.clocks0, gains, gains)

@@ -12,7 +12,6 @@ import avgtrack
 from avgtrack import cli
 from avgtrack.cli import (
     ScenarioBundle,
-    _sync_pre_phase,
     load_config,
     main,
     validate_config,
@@ -423,11 +422,17 @@ class TestRunCommand:
         assert summary["max_clock_spread"] == 0.0
 
 
+def in_process_sync_info(bundle):
+    """The clock_sync block of the sync pre-phase run in this process."""
+    return cli._sync_info(bundle, cli._sync_outcome(cli._sync_job(bundle)))
+
+
 class TestSyncHandOver:
     def test_shipped_static_scenario_hands_over_pinned_clocks(self):
         # the spread at the stop step moves with any change to the RK4 step or
         # to the clock law's arithmetic; the hand-over is mean(offsets) + horizon
-        clocks0, info = _sync_pre_phase(ScenarioBundle(load_config(STATIC_CONFIG)))
+        bundle = ScenarioBundle(load_config(STATIC_CONFIG))
+        clocks0, info = cli._handover_clocks(bundle), in_process_sync_info(bundle)
         assert info["settled_at"] == 0.20033
         assert info["final_spread"] == 1.8663454115497302e-10
         assert clocks0.shape == (6,)
@@ -451,14 +456,14 @@ class TestSyncWorker:
         out = tmp_path / "out"
         assert main(["run", str(STATIC_CONFIG), "--horizon", "1", "--out", str(out)]) == 0
         assert_no_child_left()
-        _, info = _sync_pre_phase(ScenarioBundle(load_config(STATIC_CONFIG)))
+        info = in_process_sync_info(ScenarioBundle(load_config(STATIC_CONFIG)))
         assert json.loads((out / "summary.json").read_text())["clock_sync"] == info
 
     def test_compare_block_is_the_in_process_pre_phase(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["compare", str(STATIC_CONFIG), "--out", str(out)]) == 0
         assert_no_child_left()
-        _, info = _sync_pre_phase(ScenarioBundle(load_config(STATIC_CONFIG)))
+        info = in_process_sync_info(ScenarioBundle(load_config(STATIC_CONFIG)))
         assert json.loads((out / "comparison.json").read_text())["clock_sync"] == info
 
     def test_tracking_failure_is_three_with_no_child_left(self, tmp_path, capsys, monkeypatch):

@@ -21,7 +21,6 @@ from avgtrack.controllers import GainSet, design_adaptive_params, design_gains
 from avgtrack.engine import (
     RK4_STABILITY_LIMIT,
     Scenario,
-    SimState,
     Trace,
     _Dynamics,
     consensus_error,
@@ -29,7 +28,6 @@ from avgtrack.engine import (
     lyapunov_v1,
     lyapunov_v2,
     run,
-    step_rk4,
     total_variation,
     tracking_error,
 )
@@ -52,7 +50,9 @@ from oracles import (
     implicit_matrix_bincount,
     input_value,
     modified_control,
+    pack_state,
     reference_derivative,
+    start_vector,
     static_control,
 )
 
@@ -128,23 +128,19 @@ class TestStepRk4:
             horizon=1.0,
             sample_every=1,
         )
-        state = sc.initial_state()
-        nxt = step_rk4(state, sc, 0.25)
-        assert np.array_equal(nxt.s, state.s)
-        assert np.array_equal(nxt.r, state.r)
-        assert np.array_equal(nxt.alpha, state.alpha)
-        assert np.allclose(nxt.clocks, state.clocks + 0.25, atol=1e-15)
+        dyn = _Dynamics(sc)
+        y = start_vector(sc)
+        nxt = dyn.advance(0.0, y, 0.25)
+        for block in (dyn.sl_s, dyn.sl_r, dyn.sl_a, dyn.sl_b):
+            assert np.array_equal(nxt[block], y[block])
+        assert np.allclose(nxt[dyn.sl_c], y[dyn.sl_c] + 0.25, atol=1e-15)
 
     def test_scalar_exponential_one_step(self):
         sc = scalar_decay_scenario()
-        nxt = step_rk4(sc.initial_state(), sc, 0.1)
-        assert nxt.r[0, 0] == pytest.approx(np.exp(-0.1), abs=1e-7)
-        assert nxt.r[0, 0] == pytest.approx(0.90483742, abs=1e-7)
-
-    def test_rejects_nonpositive_dt(self):
-        sc = scalar_decay_scenario()
-        with pytest.raises(ValueError):
-            step_rk4(sc.initial_state(), sc, 0.0)
+        dyn = _Dynamics(sc)
+        r = dyn.advance(0.0, start_vector(sc), 0.1)[dyn.sl_r]
+        assert r[0] == pytest.approx(np.exp(-0.1), abs=1e-7)
+        assert r[0] == pytest.approx(0.90483742, abs=1e-7)
 
     def test_fourth_order_convergence(self):
         # global error at T=1 shrinks about 16x when the step is halved
@@ -199,6 +195,28 @@ class TestScenarioValidation:
     def test_bad_initial_shape(self):
         with pytest.raises(ValueError, match="r0"):
             demo_static_scenario(dummy_gains(n=2, agents=6), r0=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("step", 0.0),
+            ("step", -1e-3),
+            ("step", float("inf")),
+            ("step", float("nan")),
+            ("horizon", -1.0),
+            ("horizon", float("inf")),
+            ("horizon", float("nan")),
+            ("sample_every", 0),
+            ("sample_every", 2.5),
+            ("sample_every", float("inf")),
+            ("sample_every", float("nan")),
+        ],
+    )
+    def test_rejects_nonfinite_or_nonpositive_lengths(self, field, value):
+        # an infinite step once built a scenario that run sampled only at
+        # t = 0, its horizon passing as a whole number of steps (0 * inf)
+        with pytest.raises(ValueError, match=field):
+            demo_static_scenario(dummy_gains(n=2, agents=6), **{field: value})
 
 
 class TestRun:
@@ -297,34 +315,34 @@ class TestEngineMatchesPerAgentLaws:
         return dyn
 
     def _state_with_clocks(self, sc, clocks, rng=None):
+        """(y, x, alpha, beta): random references and edge gains, and for the
+        modified law random filter states, at the given clocks."""
         rng = self.rng if rng is None else rng
-        state = sc.initial_state()
-        return SimState(
-            s=rng.uniform(-1, 1, state.s.shape) if sc.controller == "modified" else state.s,
-            r=rng.uniform(-1, 1, state.r.shape),
-            clocks=np.asarray(clocks, dtype=float),
-            alpha=rng.uniform(0.0, 2.0, state.alpha.shape),
-            beta=rng.uniform(0.0, 2.0, state.beta.shape),
-        )
+        edges = sc.topology.edge_count
+        s = rng.uniform(-1, 1, sc.s0.shape) if sc.controller == "modified" else sc.s0
+        r = rng.uniform(-1, 1, sc.r0.shape)
+        alpha = rng.uniform(0.0, 2.0, edges)
+        beta = rng.uniform(0.0, 2.0, edges)
+        return pack_state(s, r, clocks, alpha, beta), s + r, alpha, beta
 
     def test_static_with_desynchronized_clocks(self, demo_gains):
         sc = demo_static_scenario(demo_gains)
         clocks = np.array([0.0, 0.4, 1.1, 0.2, 2.0, 0.9])
-        state = self._state_with_clocks(sc, clocks)
+        y, x, _, _ = self._state_with_clocks(sc, clocks)
         dyn = self._compiled(sc)
-        u_fast = dyn.controls(0.0, dyn.pack(state))
+        u_fast = dyn.controls(0.0, y)
         for i in range(6):
-            u_ref, _ = static_control(i, state.x, demo_gains, clocks[i], sc.topology)
+            u_ref, _ = static_control(i, x, demo_gains, clocks[i], sc.topology)
             assert np.allclose(u_fast[i], u_ref, atol=1e-12)
 
     def test_modified_matches(self, demo_gains):
         sc = demo_static_scenario(demo_gains, controller="modified")
         clocks = np.array([0.3, 0.0, 0.0, 0.7, 0.1, 0.0])
-        state = self._state_with_clocks(sc, clocks)
+        y, x, _, _ = self._state_with_clocks(sc, clocks)
         dyn = self._compiled(sc)
-        u_fast = dyn.controls(0.0, dyn.pack(state))
+        u_fast = dyn.controls(0.0, y)
         for i in range(6):
-            u_ref = modified_control(i, state.x, demo_gains, clocks[i], sc.topology)
+            u_ref = modified_control(i, x, demo_gains, clocks[i], sc.topology)
             assert np.allclose(u_fast[i], u_ref, atol=1e-12)
 
     def test_adaptive_matches_including_gain_rates(self, demo_gains):
@@ -340,17 +358,15 @@ class TestEngineMatchesPerAgentLaws:
         adapt = design_adaptive_params(demo_gains, *rates)
         sc = demo_static_scenario(demo_gains, controller="adaptive", adapt=adapt)
         clocks = np.array([0.0, 0.4, 1.1, 0.2, 2.0, 0.9])
-        state = self._state_with_clocks(sc, clocks, rng)
+        y, x, alpha, beta = self._state_with_clocks(sc, clocks, rng)
         dyn = self._compiled(sc)
-        y = dyn.pack(state)
         u_fast = dyn.controls(0.0, y)
         ydot = dyn(0.0, y)
         alpha_dot_fast = ydot[dyn.sl_a]
         beta_dot_fast = ydot[dyn.sl_b]
         for i in range(6):
             u_ref, a_dot, b_dot = adaptive_control(
-                i, state.x, demo_gains, adapt, state.alpha, state.beta,
-                clocks[i], sc.topology,
+                i, x, demo_gains, adapt, alpha, beta, clocks[i], sc.topology,
             )
             assert np.allclose(u_fast[i], u_ref, atol=1e-12)
             for e, rate in a_dot.items():
@@ -359,8 +375,7 @@ class TestEngineMatchesPerAgentLaws:
         # agent's clock
         for e, (tail, _) in enumerate(sc.topology.edges):
             _, _, b_dot = adaptive_control(
-                tail, state.x, demo_gains, adapt, state.alpha, state.beta,
-                clocks[tail], sc.topology,
+                tail, x, demo_gains, adapt, alpha, beta, clocks[tail], sc.topology,
             )
             assert beta_dot_fast[e] == pytest.approx(b_dot[e], abs=1e-12)
 
@@ -422,24 +437,16 @@ def assert_engine_matches_reference(sc, adapt, horizon, tol=1e-7):
     from scipy.integrate import solve_ivp
 
     trace = run(sc)
-    dyn = _Dynamics(sc)
-    y0 = dyn.pack(sc.initial_state())
     ref = solve_ivp(
         independent_rhs(sc, adapt),
         (0.0, horizon),
-        y0,
+        start_vector(sc),
         method="RK45",
         rtol=1e-10,
         atol=1e-12,
     )
-    ours = dyn.pack(
-        SimState(
-            s=trace.s[-1],
-            r=trace.r[-1],
-            clocks=trace.clocks[-1],
-            alpha=trace.alpha[-1],
-            beta=trace.beta[-1],
-        )
+    ours = pack_state(
+        trace.s[-1], trace.r[-1], trace.clocks[-1], trace.alpha[-1], trace.beta[-1]
     )
     assert np.max(np.abs(ours - ref.y[:, -1])) < tol
 
@@ -755,7 +762,7 @@ class TestImplicitDirectionStep:
             / demo_gains.phi
         )
         assert t_switch == pytest.approx(5.42, abs=0.01)
-        y = dyn.pack(sc.initial_state())
+        y = start_vector(sc)
         for clock, unresolved in ((t_switch - 1e-6, False), (t_switch + 1e-6, True)):
             y[dyn.sl_c] = clock
             assert dyn.layer_unresolved(y, sc.step) is unresolved
@@ -772,7 +779,7 @@ class TestImplicitDirectionStep:
             demo_static_scenario(dataclasses.replace(demo_gains, eps=0.0)),
         ):
             dyn = _Dynamics(sc)
-            y = dyn.pack(sc.initial_state())
+            y = start_vector(sc)
             y[dyn.sl_c] = 100.0
             assert not dyn.layer_unresolved(y, sc.step)
 
@@ -790,7 +797,7 @@ class TestImplicitDirectionStep:
         )
         dyn = _Dynamics(sc)
         assert dyn.dense is (dense_max_dim > 0)
-        assert dyn.layer_unresolved(dyn.pack(sc.initial_state()), sc.step)
+        assert dyn.layer_unresolved(start_vector(sc), sc.step)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tr = run(sc)
@@ -838,7 +845,7 @@ class TestImplicitDirectionStep:
             horizon=1.0,
         )
         dyn = _Dynamics(sc)
-        y = dyn.pack(sc.initial_state())
+        y = start_vector(sc)
         y_star = rk4(dyn.without_direction, 0.7, y, sc.step, True)
         y_next = dyn.implicit_step(0.7, y, sc.step)
 
@@ -847,8 +854,7 @@ class TestImplicitDirectionStep:
         rest = np.ones(dyn.dim, dtype=bool)
         rest[dyn.sl_s] = False
         assert np.allclose(y_next[rest], y_star[rest], rtol=1e-13, atol=1e-15)
-        x0 = dyn.unpack(y).x
-        x1 = dyn.unpack(y_next).x
+        x0, x1 = ((v[dyn.sl_s] + v[dyn.sl_r]).reshape(agents, n) for v in (y, y_next))
         ds = np.zeros((agents, n))
         for i, j in topo.edges:
             w0 = gains.k_mat @ (x0[i] - x0[j])
@@ -860,15 +866,20 @@ class TestImplicitDirectionStep:
         expected = sc.step * gains.c2 * ds
         assert np.allclose(got, expected, rtol=1e-9, atol=1e-12 * np.abs(expected).max())
 
-    def test_step_rk4_takes_the_run_step(self, demo_gains):
+    def test_advance_takes_the_run_step(self, demo_gains):
+        # past the switch, so the step is the implicit one
         sc = demo_static_scenario(
             demo_gains, clocks0=np.full(6, 20.0), horizon=1e-3, sample_every=1
         )
         tr = run(sc)
-        nxt = step_rk4(sc.initial_state(), sc, sc.step)
-        assert np.array_equal(nxt.s, tr.s[-1])
-        assert np.array_equal(nxt.r, tr.r[-1])
-        assert np.array_equal(nxt.clocks, tr.clocks[-1])
+        dyn = _Dynamics(sc)
+        y = start_vector(sc)
+        assert dyn.layer_unresolved(y, sc.step)
+        samples = [
+            pack_state(tr.s[k], tr.r[k], tr.clocks[k], tr.alpha[k], tr.beta[k]) for k in (0, 1)
+        ]
+        assert np.array_equal(samples[0], y)
+        assert np.array_equal(samples[1], dyn.advance(0.0, y, sc.step))
 
     def test_average_kept_and_clocks_contract(self, demo_gains):
         tr = run(demo_static_scenario(demo_gains, clocks0=np.full(6, 20.0)))
@@ -978,24 +989,22 @@ class TestEdgeIndexedOperators:
         if clocks == "unequal":
             times += rng.uniform(0.0, 0.3, agents)
         sc = seeded_scenario(controller, system, clocks=times)
-        start = sc.initial_state()
-        state = SimState(
-            s=start.s + rng.uniform(-0.2, 0.2, start.s.shape) * (controller == "modified"),
-            r=start.r,
-            clocks=start.clocks,
-            alpha=rng.uniform(0.0, 2.0, start.alpha.shape),
-            beta=rng.uniform(0.0, 2.0, start.beta.shape),
+        edges = sc.topology.edge_count
+        y = pack_state(
+            sc.s0 + rng.uniform(-0.2, 0.2, sc.s0.shape) * (controller == "modified"),
+            sc.r0,
+            sc.clocks0,
+            rng.uniform(0.0, 2.0, edges),
+            rng.uniform(0.0, 2.0, edges),
         )
         results = {}
         for dense in (True, False):
             monkeypatch.setattr(engine, "DENSE_MAX_DIM", sys.maxsize if dense else 0)
             dyn = _Dynamics(sc)
             assert dyn.dense is dense
-            y = dyn.pack(state)
             if controller != "adaptive":
                 assert dyn.layer_unresolved(y, sc.step) is (layer == "unresolved")
-            step = dyn.pack(step_rk4(state, sc, sc.step, t=0.7))
-            results[dense] = (dyn(0.7, y), dyn.controls(0.7, y), step)
+            results[dense] = (dyn(0.7, y), dyn.controls(0.7, y), dyn.advance(0.7, y, sc.step))
         for fused, edge in zip(results[True], results[False]):
             assert np.max(np.abs(edge - fused)) <= 1e-12 * np.max(np.abs(fused))
 
@@ -1111,7 +1120,7 @@ class TestOneClockLaw:
         )
         dyn = _Dynamics(sc)
         assert dyn.dense is dense
-        y = dyn.pack(sc.initial_state())
+        y = start_vector(sc)
         sigma = -1.0 if convention == ATTRACTING else 1.0
         law = clock_law(0.7, clocks, sigma, *topo.arcs())
         reference = clock_rates(ClockState(times=clocks, convention=convention), topo)
@@ -1192,7 +1201,7 @@ class TestStepPieces:
         dyn = _Dynamics(sc)
         assert dyn.uniform_wave
         assert dyn.has_wave is (inputs == "sine")
-        return dyn, dyn.pack(sc.initial_state())
+        return dyn, start_vector(sc)
 
     @pytest.mark.parametrize("inputs", ["sine", "constant"])
     def test_propagator_matches_the_recursion(self, demo_gains, inputs):
@@ -1229,7 +1238,7 @@ class TestStepPieces:
         gains = dataclasses.replace(demo_gains, phi=phi)
         sc = demo_static_scenario(gains)
         dyn = _Dynamics(sc)
-        y = dyn.pack(sc.initial_state())
+        y = start_vector(sc)
         rng = np.random.default_rng(43)
         nrm = rng.uniform(0.0, 2.0, dyn.n_edges)
         nrm[0] = 0.0

@@ -4,7 +4,6 @@ import pytest
 from avgtrack.errors import DesignError
 from avgtrack.graph import (
     Topology,
-    centering_matrix,
     incidence,
     is_connected,
     lambda2,
@@ -12,6 +11,7 @@ from avgtrack.graph import (
 )
 
 from conftest import demo_topology
+from oracles import centering_matrix
 
 
 def random_connected_topology(rng, max_vertices=8):
