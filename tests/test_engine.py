@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import sys
 import time
 import tracemalloc
@@ -968,9 +969,11 @@ def seeded_scenario(controller, system="one_wave", clocks=None, **kw):
 
 @pytest.fixture
 def edge_form(monkeypatch):
-    """Compile every scenario to the edge-indexed operators, whatever its
-    state dimension."""
+    """Compile every scenario to the edge-indexed operators, and solve its
+    equal-clock implicit steps by lagged conjugate gradients, whatever its
+    size."""
     monkeypatch.setattr(engine, "DENSE_MAX_DIM", 0)
+    monkeypatch.setattr(engine, "ITERATIVE_MIN_NODES", 0)
 
 
 class TestEdgeIndexedOperators:
@@ -1059,6 +1062,7 @@ class TestEdgeIndexedOperators:
     def test_bitwise_deterministic(self, edge_form):
         for sc in (
             seeded_scenario("static", clocks=np.full(8, 20.0) + np.linspace(0.0, 0.2, 8)),
+            seeded_scenario("static", clocks=np.full(8, 20.0)),
             seeded_scenario("adaptive", "mixed_inputs"),
         ):
             t1, t2 = run(sc), run(sc)
@@ -1075,6 +1079,167 @@ class TestEdgeIndexedOperators:
         tr = run(sc)
         mismatch = np.linalg.norm(tr.x.sum(axis=1) - tr.r.sum(axis=1), axis=1)
         assert mismatch.max() <= 1e-6
+
+
+def ring_static_scenario(channels, clock, horizon=0.3, agents=30, seed=5):
+    """The static law on a ring plus agents/2 seeded chords, one input wave
+    with per-agent amplitudes and every clock at clock; one input channel
+    (the demo plant) or two."""
+    topo = seeded_ring(agents, agents // 2, seed=seed)
+    rng = np.random.default_rng(seed)
+    if channels == 1:
+        plant, q_mat = demo_plant(), DEMO_Q
+    else:
+        plant, q_mat = Plant(a=[[0.0, 1.0], [-0.5, -1.0]], b=np.eye(2)), np.eye(2)
+    fam = InputFamily(
+        specs=tuple(
+            SinusoidInput(amplitude=tuple(rng.uniform(0.5, 3.5, channels))) for _ in range(agents)
+        ),
+        input_dim=channels,
+    )
+    return Scenario(
+        plant=plant,
+        topology=topo,
+        family=fam,
+        controller="static",
+        gains=design_gains(plant, topo, fam, q_mat, eps=5.0, phi=0.5),
+        r0=rng.uniform(-1.0, 1.0, (agents, 2)),
+        clocks0=np.full(agents, clock),
+        step=1e-3,
+        horizon=horizon,
+        sample_every=10,
+    )
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts of the np.linalg.inv and np.linalg.solve calls made from here on."""
+    calls = {"inv": 0, "solve": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestLaggedImplicitSolve:
+    """Above the dense limit, from ITERATIVE_MIN_NODES node rows on, the
+    equal-clock implicit step solves its symmetric positive definite matrix
+    by conjugate gradients, preconditioned with the inverse of an earlier
+    step's matrix and refreshed past ITERATIVE_CAP iterations. These tests
+    force it on small systems by lowering both size constants."""
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_product_is_the_matrix(self, edge_form, channels):
+        sc = ring_static_scenario(channels, clock=0.0)
+        dyn = _Dynamics(sc)
+        rng = np.random.default_rng(channels)
+        for scale in (1e-3, 1e2):
+            f = scale * rng.uniform(0.0, 1.0, dyn.n_edges)
+            lhs = implicit_matrix_bincount(sc.topology, dyn.kb, f, f)
+            assert np.array_equal(lhs, lhs.T)
+            assert np.linalg.eigvalsh(lhs)[0] >= 1.0 - 1e-9
+            v = rng.uniform(-1.0, 1.0, lhs.shape[0])
+            got = dyn._implicit_product(v, f)
+            expected = lhs @ v
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_run_across_the_switch_matches_the_dense_form(
+        self, monkeypatch, linalg_calls, channels
+    ):
+        # stated before measuring: every sampled state and control within
+        # 1e-10 of the dense form's, relative to the largest of each
+        sc = ring_static_scenario(channels, clock=0.0)
+        dyn = _Dynamics(sc)
+        t_switch = (
+            math.log(sc.gains.eps * RK4_STABILITY_LIMIT / (sc.step * dyn.stiffness))
+            / sc.gains.phi
+        )
+        sc = dataclasses.replace(sc, clocks0=np.full(30, t_switch - 0.1))
+        assert not dyn.layer_unresolved(start_vector(sc), sc.step)
+        traces = {}
+        for dense in (True, False):
+            monkeypatch.setattr(engine, "DENSE_MAX_DIM", sys.maxsize if dense else 0)
+            monkeypatch.setattr(engine, "ITERATIVE_MIN_NODES", 0)
+            linalg_calls.update(inv=0, solve=0)
+            traces[dense] = run(sc)
+            # the dense form solves every implicit step by LU, the edge
+            # form none
+            assert (linalg_calls["solve"] > 100) is dense
+        assert 1 <= linalg_calls["inv"] <= 20
+        for name in ("x", "u"):
+            fused, edge = getattr(traces[True], name), getattr(traces[False], name)
+            assert np.max(np.abs(edge - fused)) <= 1e-10 * np.max(np.abs(fused))
+
+    def test_refresh_on_the_first_step_and_after_a_jump(
+        self, monkeypatch, edge_form, linalg_calls
+    ):
+        solves = []
+        solve_lagged = _Dynamics._solve_lagged
+
+        def recorded(dyn, f, rhs):
+            v = solve_lagged(dyn, f, rhs)
+            solves.append((f, rhs, v.copy()))
+            return v
+
+        monkeypatch.setattr(_Dynamics, "_solve_lagged", recorded)
+        # at t = 40 the layer is thin and the first matrix's condition
+        # number is about 2e9
+        sc = ring_static_scenario(1, clock=40.0)
+        y = start_vector(sc)
+        # from the random start the edge differences collapse onto the layer
+        # within a few steps, and the edge weights f with them
+        settling = _Dynamics(sc)
+        assert settling.layer_unresolved(y, sc.step)
+        for k in range(10):
+            y = settling.advance(40.0 + k * sc.step, y, sc.step)
+        dyn = _Dynamics(sc)
+        assert dyn.iterative
+        solves.clear()
+        linalg_calls.update(inv=0, solve=0)
+        for k in range(10, 30):
+            y = dyn.advance(40.0 + k * sc.step, y, sc.step)
+        # one refresh, on the first step; the lagged inverse carries the rest
+        assert linalg_calls == {"inv": 1, "solve": 0}
+        # new references: the edge weights f change by orders of magnitude
+        # edge by edge, past what the lagged inverse carries in ITERATIVE_CAP
+        jumped = y.copy()
+        jumped[dyn.sl_r] = np.random.default_rng(9).uniform(-1.0, 1.0, 60)
+        got = dyn.advance(40.03, jumped, sc.step)
+        assert linalg_calls == {"inv": 2, "solve": 0}
+        # every answer, refreshed or iterated, meets the stated residual on
+        # the matrix built apart (up to a factor 2 for the product's rounding)
+        assert len(solves) == 21
+        for f, rhs, v in solves:
+            lhs = implicit_matrix_bincount(sc.topology, dyn.kb, f, f)
+            residual = np.linalg.norm(lhs @ v - rhs)
+            assert residual <= 2.0 * engine.ITERATIVE_RTOL * np.linalg.norm(rhs)
+        # and the step is LU's
+        monkeypatch.setattr(engine, "ITERATIVE_MIN_NODES", sys.maxsize)
+        expected = _Dynamics(sc).advance(40.03, jumped, sc.step)
+        assert linalg_calls["solve"] == 1
+        assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_unequal_clocks_keep_the_direct_solve(self, edge_form, linalg_calls):
+        offsets = np.linspace(0.0, 0.2, 30)
+        sc = ring_static_scenario(1, clock=20.0)
+        sc = dataclasses.replace(sc, clocks0=sc.clocks0 + offsets)
+        dyn = _Dynamics(sc)
+        assert dyn.iterative
+        y = start_vector(sc)
+        assert dyn.layer_unresolved(y, sc.step)
+        linalg_calls.update(inv=0, solve=0)
+        dyn.advance(20.0, y, sc.step)
+        assert linalg_calls == {"inv": 0, "solve": 1}
+
+    def test_small_node_matrix_keeps_the_direct_solve(self, monkeypatch):
+        monkeypatch.setattr(engine, "DENSE_MAX_DIM", 0)
+        assert not _Dynamics(ring_static_scenario(1, clock=0.0)).iterative
+        assert _Dynamics(ring_static_scenario(2, clock=0.0, agents=50)).iterative
 
 
 class TestOneClockLaw:
