@@ -38,15 +38,14 @@ positive and the implicit step's matrix stays nonsingular in floating point.
 
 With equal clocks that matrix is I + D diag(f) D^T kron B^T P B, symmetric
 positive definite, and from one step to the next only the edge weights f
-change. Above the dense limit, from ITERATIVE_MIN_NODES node rows on, it is
-solved by conjugate gradients that apply it through the edge index arrays,
-start from the last step's solution and are preconditioned with the inverse
-of an earlier step's matrix, refreshed when they miss their iteration cap
-(_solve_lagged). On a ring plus N/2 chords (one BLAS thread, 2-vCPU x86 VM)
-that takes about 6 iterations a step and 3 refreshes in 500 steps at
-N = 200, 0.26-0.36 ms a step against 0.60-0.73 ms with LU, and 2.5-2.7 ms
-against 26-28 ms at N = 1000. The dense form, unequal clocks and smaller
-systems keep LU.
+change. Above the dense limit it is solved by conjugate gradients that
+apply it through the edge index arrays, start from the last step's solution
+and are preconditioned with the inverse of an earlier step's matrix,
+refreshed when they miss their iteration cap (_solve_lagged). On a ring
+plus N/2 chords (one BLAS thread, 2-vCPU x86 VM shared with other load)
+that takes about 6.3 iterations a step and 3 refreshes in 500 steps at
+N = 200, a median of 0.58 ms a step against 1.20 ms with LU, and 3.8-4.2
+ms against 33 ms at N = 1000. The dense form and unequal clocks keep LU.
 
 At small N a step's cost is the number of numpy calls, not arithmetic, so
 the step keeps that number low where the system allows: the fused map's
@@ -99,15 +98,9 @@ LAYER_FLOOR = 1e-12
 
 # The equal-clock implicit solve above the dense limit (_solve_lagged):
 # conjugate gradients to a residual of ITERATIVE_RTOL ||rhs||, refreshing its
-# preconditioner past ITERATIVE_CAP iterations. Below a node matrix of
-# ITERATIVE_MIN_NODES = N p rows LU on the whole matrix costs less: a
-# static run of a ring plus N/2 chords (n = 2, p = 1, one BLAS thread on a
-# 2-vCPU x86 VM) took 0.12 / 0.13 / 0.19 / 0.22 / 0.30 ms per step with LU
-# at N = 40 / 60 / 80 / 100 / 120 and 0.18 / 0.17 / 0.20 / 0.21 / 0.21 ms
-# with conjugate gradients, 7-8 iterations a solve at N = 40 and 6 at 200.
+# preconditioner past ITERATIVE_CAP iterations.
 ITERATIVE_RTOL = 1e-13
 ITERATIVE_CAP = 8
-ITERATIVE_MIN_NODES = 100
 
 
 def _matrix_of(linear_map, n_in: int) -> np.ndarray:
@@ -321,9 +314,7 @@ class _Dynamics:
                 self._kb1 = float(self.kb[0, 0])
             else:
                 self._eye = np.eye(n_agents * p)
-            # whether equal clocks take _solve_lagged, and its preconditioner
-            # and last solution
-            self.iterative = not self.dense and n_agents * p >= ITERATIVE_MIN_NODES
+            # _solve_lagged's preconditioner and last solution
             self._precond = self._solution = None
             # [y | 1 | wave weights], the input of _affine_step, and the
             # dense form's propagator, its matrix at step _prop_dt
@@ -534,7 +525,9 @@ class _Dynamics:
     def advance(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         """One step of the stacked system from (t, y): classical
         fourth-order Runge-Kutta while it resolves the boundary layer, and
-        implicit_step past that (see layer_unresolved)."""
+        implicit_step past that (see layer_unresolved). Above the dense
+        limit with equal clocks the implicit step keeps state between calls,
+        so one _Dynamics serves one trajectory (see implicit_step)."""
         if self.layer_unresolved(y, dt):
             return self.implicit_step(t, y, dt)
         return rk4(self, t, y, dt)
@@ -641,6 +634,13 @@ class _Dynamics:
         some w_e is exactly zero and f |KB| nears 1e16 (4.5e15 in the shipped
         static run at t = 78.7 s with no floor); the layer floor
         (LAYER_FLOOR) keeps f |KB| <= 1e12 dt.
+
+        Above the dense limit an equal-clock solve is _solve_lagged, which
+        starts from the last call's solution and is preconditioned with the
+        inverse of an earlier call's matrix, both kept on this object. Its
+        answer, accurate to ITERATIVE_RTOL, then depends to rounding (about
+        1e-13 of it) on the calls before it, so one _Dynamics serves one
+        trajectory: run compiles a fresh one per run.
         """
         n_agents, p, n_edges = self.n_agents, self.p, self.n_edges
         _, dclk, nrm, _ = self._edge_terms(y)
@@ -659,7 +659,7 @@ class _Dynamics:
         tail = (self._edge_scale(f_t) * w).reshape(n_edges, p)
         head = tail if synced else (self._edge_scale(f_h) * w).reshape(n_edges, p)
         rhs = self._scatter(tail, head).ravel()
-        if synced and self.iterative:
+        if synced and not self.dense:
             v = self._solve_lagged(f_t, rhs)
         else:
             v = np.linalg.solve(self._implicit_matrix(f_t, f_h), rhs)
@@ -671,14 +671,16 @@ class _Dynamics:
         """The equal-clock implicit solve A v = rhs by conjugate gradients,
         A = I - (D diag(f) D^T) kron (K B) symmetric positive definite and
         applied in O(N + E) (_implicit_product). It starts from the last
-        step's solution and is preconditioned with the inverse of an earlier
-        step's matrix, which from one step to the next differs only in f.
+        call's solution and is preconditioned with the inverse of an earlier
+        call's matrix, which from one step to the next differs only in f.
         Past ITERATIVE_CAP iterations short of ITERATIVE_RTOL ||rhs||, on a
         breakdown, or on the first call, it refreshes: the inverse of this
-        step's matrix gives the answer, with one step of iterative
+        call's matrix gives the answer, with one step of iterative
         refinement, and becomes the preconditioner (Hairer and Wanner,
         Solving ODEs II, IV.8; Saad, Iterative Methods for Sparse Linear
-        Systems, 2003, ch. 9)."""
+        Systems, 2003, ch. 9). Over 500 steps on a ring of 200 plus 100
+        chords, starting from the last solution takes 6.3 iterations a solve
+        and 3 refreshes where starting from zero takes 7.6 and 4."""
         precond = self._precond
         if precond is not None:
             v = self._solution.copy()

@@ -969,11 +969,9 @@ def seeded_scenario(controller, system="one_wave", clocks=None, **kw):
 
 @pytest.fixture
 def edge_form(monkeypatch):
-    """Compile every scenario to the edge-indexed operators, and solve its
-    equal-clock implicit steps by lagged conjugate gradients, whatever its
+    """Compile every scenario to the edge-indexed operators, whatever its
     size."""
     monkeypatch.setattr(engine, "DENSE_MAX_DIM", 0)
-    monkeypatch.setattr(engine, "ITERATIVE_MIN_NODES", 0)
 
 
 class TestEdgeIndexedOperators:
@@ -1081,12 +1079,13 @@ class TestEdgeIndexedOperators:
         assert mismatch.max() <= 1e-6
 
 
-def ring_static_scenario(channels, clock, horizon=0.3, agents=30, seed=5):
-    """The static law on a ring plus agents/2 seeded chords, one input wave
+def ring_static_scenario(channels, clock):
+    """The static law on a ring of 30 plus 15 seeded chords, one input wave
     with per-agent amplitudes and every clock at clock; one input channel
     (the demo plant) or two."""
-    topo = seeded_ring(agents, agents // 2, seed=seed)
-    rng = np.random.default_rng(seed)
+    agents = 30
+    topo = seeded_ring(agents, agents // 2, seed=5)
+    rng = np.random.default_rng(5)
     if channels == 1:
         plant, q_mat = demo_plant(), DEMO_Q
     else:
@@ -1106,7 +1105,7 @@ def ring_static_scenario(channels, clock, horizon=0.3, agents=30, seed=5):
         r0=rng.uniform(-1.0, 1.0, (agents, 2)),
         clocks0=np.full(agents, clock),
         step=1e-3,
-        horizon=horizon,
+        horizon=0.3,
         sample_every=10,
     )
 
@@ -1126,11 +1125,11 @@ def linalg_calls(monkeypatch):
 
 
 class TestLaggedImplicitSolve:
-    """Above the dense limit, from ITERATIVE_MIN_NODES node rows on, the
-    equal-clock implicit step solves its symmetric positive definite matrix
-    by conjugate gradients, preconditioned with the inverse of an earlier
-    step's matrix and refreshed past ITERATIVE_CAP iterations. These tests
-    force it on small systems by lowering both size constants."""
+    """Above the dense limit the equal-clock implicit step solves its
+    symmetric positive definite matrix by conjugate gradients,
+    preconditioned with the inverse of an earlier step's matrix and
+    refreshed past ITERATIVE_CAP iterations. These tests force it on small
+    systems by lowering DENSE_MAX_DIM."""
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_product_is_the_matrix(self, edge_form, channels):
@@ -1164,7 +1163,6 @@ class TestLaggedImplicitSolve:
         traces = {}
         for dense in (True, False):
             monkeypatch.setattr(engine, "DENSE_MAX_DIM", sys.maxsize if dense else 0)
-            monkeypatch.setattr(engine, "ITERATIVE_MIN_NODES", 0)
             linalg_calls.update(inv=0, solve=0)
             traces[dense] = run(sc)
             # the dense form solves every implicit step by LU, the edge
@@ -1198,7 +1196,7 @@ class TestLaggedImplicitSolve:
         for k in range(10):
             y = settling.advance(40.0 + k * sc.step, y, sc.step)
         dyn = _Dynamics(sc)
-        assert dyn.iterative
+        assert not dyn.dense
         solves.clear()
         linalg_calls.update(inv=0, solve=0)
         for k in range(10, 30):
@@ -1219,27 +1217,51 @@ class TestLaggedImplicitSolve:
             residual = np.linalg.norm(lhs @ v - rhs)
             assert residual <= 2.0 * engine.ITERATIVE_RTOL * np.linalg.norm(rhs)
         # and the step is LU's
-        monkeypatch.setattr(engine, "ITERATIVE_MIN_NODES", sys.maxsize)
+        monkeypatch.setattr(
+            _Dynamics,
+            "_solve_lagged",
+            lambda dyn, f, rhs: np.linalg.solve(dyn._implicit_matrix(f, f), rhs),
+        )
         expected = _Dynamics(sc).advance(40.03, jumped, sc.step)
         assert linalg_calls["solve"] == 1
         assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_solve_starts_from_the_last_solution(self, monkeypatch, edge_form, linalg_calls):
+        dyn = _Dynamics(ring_static_scenario(1, clock=0.0))
+        rng = np.random.default_rng(3)
+        f = rng.uniform(0.0, 1.0, dyn.n_edges)
+        rhs = rng.uniform(-1.0, 1.0, dyn.n_agents)
+        dyn._solve_lagged(f, rhs)
+        # a new matrix: conjugate gradients on the first one's inverse
+        f = f * rng.uniform(1.0, 1.1, dyn.n_edges)
+        first = dyn._solve_lagged(f, rhs)
+        assert linalg_calls["inv"] == 1
+        products = []
+        product = _Dynamics._implicit_product
+
+        def counted(dyn, v, f):
+            products.append(v)
+            return product(dyn, v, f)
+
+        monkeypatch.setattr(_Dynamics, "_implicit_product", counted)
+        # the same solve again: its residual at the last solution meets the
+        # tolerance, so it takes no iteration
+        again = dyn._solve_lagged(f, rhs)
+        assert len(products) == 1
+        assert np.array_equal(again, first)
+        assert linalg_calls["inv"] == 1
 
     def test_unequal_clocks_keep_the_direct_solve(self, edge_form, linalg_calls):
         offsets = np.linspace(0.0, 0.2, 30)
         sc = ring_static_scenario(1, clock=20.0)
         sc = dataclasses.replace(sc, clocks0=sc.clocks0 + offsets)
         dyn = _Dynamics(sc)
-        assert dyn.iterative
+        assert not dyn.dense
         y = start_vector(sc)
         assert dyn.layer_unresolved(y, sc.step)
         linalg_calls.update(inv=0, solve=0)
         dyn.advance(20.0, y, sc.step)
         assert linalg_calls == {"inv": 0, "solve": 1}
-
-    def test_small_node_matrix_keeps_the_direct_solve(self, monkeypatch):
-        monkeypatch.setattr(engine, "DENSE_MAX_DIM", 0)
-        assert not _Dynamics(ring_static_scenario(1, clock=0.0)).iterative
-        assert _Dynamics(ring_static_scenario(2, clock=0.0, agents=50)).iterative
 
 
 class TestOneClockLaw:
