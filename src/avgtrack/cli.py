@@ -6,13 +6,12 @@ across repeated invocations of the same configuration. Exit codes: 0
 success, 1 file/schema problems, 2 violated design assumptions, 3 numerical
 failures.
 
-With clock sync enabled, run and compare run the sync pre-phase in a second
-interpreter alongside tracking: tracking starts from the hand-over clock,
-which the inputs alone fix (clocksync.plan_sync), and the worker's outcome
-is read before any output is written. Outputs, exit codes and the stderr
-line are those of running the pre-phase first, and no worker outlives the
-CLI. Starting the worker costs about 0.3 s of interpreter start, which adds
-to the wall time on a single core.
+With clock sync enabled, run and compare run the sync pre-phase in a forked
+copy of the CLI process alongside tracking: tracking starts from the
+hand-over clock, which the inputs alone fix (clocksync.plan_sync), and the
+child's outcome is read before any output is written. Where no process can
+be forked the pre-phase runs in the CLI, first. Outputs, exit codes and the
+stderr line are the same either way, and no child outlives the CLI.
 """
 
 from __future__ import annotations
@@ -41,11 +40,6 @@ _MAX_STEPS = 2.0**53
 # write_trace_csv formats at most this many values (64 KiB) at a time: the
 # whole table at once was the peak of a run's memory
 _CSV_VALUES = 8192
-
-# The sync worker's program (python -c, with the CLI's pid as argument): its
-# job arrives as one JSON line on stdin and its outcome leaves as JSON on
-# stdout.
-_SYNC_WORKER = "from avgtrack import cli; cli._sync_worker()"
 
 _TOP_KEYS = {
     "plant",
@@ -455,50 +449,45 @@ def _stored(key: str, what: str):
         raise _unstorable(key, what) from exc
 
 
-def _sync_job(bundle: ScenarioBundle) -> dict:
-    """run_sync's inputs as JSON values, which round-trip floats exactly."""
-    return {
-        "vertices": bundle.topology.vertex_count,
-        "edges": bundle.topology.edges,
-        "offsets": bundle.sync_offsets.tolist(),
-        "convention": bundle.sync_convention,
-        "tol": bundle.sync_tol,
-        "step": bundle.sync_step,
-    }
-
-
-def _sync_outcome(job: dict) -> dict:
-    """Runs the sync of a _sync_job: its settled_at and final spread, or
+def _sync_outcome(bundle: ScenarioBundle) -> dict:
+    """Runs the bundle's sync: its settled_at and final spread, or
     unstorable when its steps do not fit in memory."""
     try:
         result = run_sync(
-            Topology(job["vertices"], job["edges"]),
-            np.array(job["offsets"]),
-            convention=job["convention"],
-            tol=job["tol"],
-            step=job["step"],
+            bundle.topology,
+            bundle.sync_offsets,
+            convention=bundle.sync_convention,
+            tol=bundle.sync_tol,
+            step=bundle.sync_step,
         )
     except MemoryError:
         return {"unstorable": True}
     return {"settled_at": result.settled_at, "final_spread": clock_spread(result.clocks[-1])}
 
 
-def _sync_worker():
-    """The sync worker's body: the outcome of the job read from stdin. It
-    ends itself within 0.1 s of its parent, whose pid is its argument: a
-    signal such as SIGTERM ends the parent without clean-up."""
-    import threading
-    import time
+def _sync_child(bundle: ScenarioBundle, parent: int, read_fd: int, write_fd: int):
+    """The forked child: writes the sync outcome to write_fd as JSON, and ends
+    itself within 0.1 s of its parent's death (SIGTERM ends the parent without
+    clean-up). It leaves only through os._exit: it never unwinds into the
+    caller's stack or flushes the stdio buffers it inherited."""
+    code = 1
+    try:
+        import threading
+        import time
 
-    parent = int(sys.argv[1])
+        os.close(read_fd)
 
-    def watch():
-        while os.getppid() == parent:
-            time.sleep(0.1)
-        os._exit(1)
+        def watch():
+            while os.getppid() == parent:
+                time.sleep(0.1)
+            os._exit(1)
 
-    threading.Thread(target=watch, daemon=True).start()
-    print(json.dumps(_sync_outcome(json.loads(sys.stdin.readline()))))
+        threading.Thread(target=watch, daemon=True).start()
+        with open(write_fd, "w", encoding="utf-8") as pipe:
+            pipe.write(json.dumps(_sync_outcome(bundle)))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _sync_info(bundle: ScenarioBundle, outcome: dict) -> dict:
@@ -532,25 +521,33 @@ def _handover_clocks(bundle: ScenarioBundle) -> np.ndarray:
     return np.full(bundle.topology.vertex_count, plan.handover)
 
 
-def _worker_outcome(proc) -> dict:
-    """The outcome the sync worker printed; what it wrote to stderr
-    (warnings) goes to stderr, as it did with the sync in process. A worker
-    that exits without an outcome is a NumericalError."""
-    out, err = proc.communicate()
-    text = err.decode(errors="replace")
-    if proc.returncode == 0:
-        try:
-            outcome = json.loads(out)
-        except ValueError:
-            pass
-        else:
-            sys.stderr.write(text)
-            return outcome
-    last = (text or out.decode(errors="replace")).splitlines() or ["no output"]
-    raise NumericalError(
-        f"clock synchronization worker exited with code {proc.returncode} and no "
-        f"result: {last[-1]}"
-    )
+def _fork_sync(bundle: ScenarioBundle):
+    """(pid, read end of its pipe) of a forked child running the sync
+    pre-phase (_sync_child), or None where no process can be had."""
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    # threading, time and warnings are imported where used: at the top, the
+    # changed import order raised large_static's (no sync) peak by 0.15 MB
+    import warnings
+
+    parent = os.getpid()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12 warns of a fork beside threads, such as OpenBLAS's
+            # pool. The child makes no BLAS call (only indexing, bincount and
+            # element-wise ops), so it cannot wait on a lock a pool thread held.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork here, or no process
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        _sync_child(bundle, parent, read_fd, write_fd)
+    os.close(write_fd)
+    return pid, read_fd
 
 
 @contextmanager
@@ -558,43 +555,38 @@ def _sync_alongside(bundle: ScenarioBundle):
     """Yields (clocks0 for tracking, finish): finish() waits for the sync
     pre-phase and returns its clock_sync block, or raises its failure. With
     sync off, (None, a finish returning None). The pre-phase runs in a
-    second interpreter, started here, which is killed and waited for on any
-    exit; where none can be started it runs here, first."""
+    forked child, started here, which is killed and waited for on any exit;
+    where none can be forked it runs here, first."""
     if not bundle.sync_enabled:
         yield None, lambda: None
         return
     clocks0 = _handover_clocks(bundle)
-    import subprocess  # runs without a sync pre-phase do not load it
-
-    # the worker imports avgtrack from where this process did, not from its cwd
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    try:
-        proc = subprocess.Popen(
-            [sys.executable, "-c", _SYNC_WORKER, str(os.getpid())],
-            env=dict(os.environ, PYTHONPATH=path, PYTHONSAFEPATH="1"),
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
-    except OSError:  # no second process to be had
-        proc = None
-    if proc is None:
-        info = _sync_info(bundle, _sync_outcome(_sync_job(bundle)))
+    child = _fork_sync(bundle)
+    if child is None:
+        info = _sync_info(bundle, _sync_outcome(bundle))
         yield clocks0, lambda: info
         return
-    try:
+    pid, read_fd = child
+    waited = False
+
+    def finish():
+        nonlocal waited
+        text = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        waited = True
+        if code == 0:
+            return _sync_info(bundle, json.loads(text))
+        raise NumericalError(
+            f"clock synchronization worker exited with code {code} and no result"
+        )
+
+    with open(read_fd, "rb") as pipe:
         try:
-            # one line: stdin stays open until communicate() closes it
-            proc.stdin.write(json.dumps(_sync_job(bundle)).encode() + b"\n")
-            proc.stdin.flush()
-        except BrokenPipeError:
-            pass  # the worker is gone; _worker_outcome reports it
-        yield clocks0, lambda: _sync_info(bundle, _worker_outcome(proc))
-    finally:
-        if proc.returncode is None:  # not waited for: stop it
-            proc.kill()
-            proc.communicate()
+            yield clocks0, finish
+        finally:
+            if not waited:  # stop it
+                os.kill(pid, 9)  # SIGKILL; importing signal adds 0.2 MB of peak
+                os.waitpid(pid, 0)
 
 
 def _simulate(config_path, out_dir, directions, horizon=None, step=None):

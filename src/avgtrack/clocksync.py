@@ -16,7 +16,8 @@ steps everything but the direction term.
 
 plan_sync fixes the phase's length and its hand-over clock from the inputs
 alone, so a caller can start tracking from SyncPlan.handover while run_sync
-still runs: the CLI runs it in a second interpreter alongside tracking.
+still runs: the CLI runs it in a forked copy of its process alongside
+tracking.
 """
 
 from __future__ import annotations
@@ -154,12 +155,16 @@ def plan_sync(
     horizon: float | None = None,
 ) -> SyncPlan:
     """Checks run_sync's arguments and fixes its length: ValueError for a
-    tol or step that is not positive, a step too coarse for tol, bad clocks
-    or convention, or a clock count other than vertex_count. The horizon
+    tol or step that is not positive and finite, a horizon that is not
+    nonnegative and finite, a step too coarse for tol, bad clocks or
+    convention, or a clock count other than vertex_count. The horizon
     defaults to max(1, 4 sqrt(max(spread, tol))), a generous multiple of the
     worst-offset settling estimate, and is rounded to whole steps."""
-    if tol <= 0.0 or step <= 0.0:
-        raise ValueError("tol and step must be positive")
+    for name, value in (("tol", tol), ("step", step)):
+        if not 0.0 < value < np.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    if horizon is not None and not 0.0 <= horizon < np.inf:
+        raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
     if 2.0 * step * step >= tol:
         raise ValueError(
             f"step {step} too coarse for tol {tol}: the residual spread of the "

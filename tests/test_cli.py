@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -424,7 +425,7 @@ class TestRunCommand:
 
 def in_process_sync_info(bundle):
     """The clock_sync block of the sync pre-phase run in this process."""
-    return cli._sync_info(bundle, cli._sync_outcome(cli._sync_job(bundle)))
+    return cli._sync_info(bundle, cli._sync_outcome(bundle))
 
 
 class TestSyncHandOver:
@@ -448,8 +449,20 @@ def fail_tracking(scenario):
     raise NumericalError("tracking failed")
 
 
+def exit_seven(bundle):
+    os._exit(7)
+
+
+def raise_error(bundle):
+    raise RuntimeError("sync failed")
+
+
+def kill_self(bundle):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
 class TestSyncWorker:
-    """The sync pre-phase runs in a second interpreter alongside tracking;
+    """The sync pre-phase runs in a forked child alongside tracking;
     outputs, exit codes and stderr are those of running it first."""
 
     def test_run_block_is_the_in_process_pre_phase(self, tmp_path, capsys):
@@ -483,16 +496,10 @@ class TestSyncWorker:
         assert_no_child_left()
 
     @pytest.mark.parametrize(
-        "program",
-        [
-            "raise SystemExit(7)",
-            "print('no outcome')",
-            "import os, signal; os.kill(os.getpid(), signal.SIGKILL)",
-        ],
-        ids=["exit-code", "no-json", "killed"],
+        "outcome", [exit_seven, raise_error, kill_self], ids=["exit-code", "raises", "killed"]
     )
-    def test_worker_without_a_result_is_three(self, tmp_path, capsys, monkeypatch, program):
-        monkeypatch.setattr("avgtrack.cli._SYNC_WORKER", program)
+    def test_worker_without_a_result_is_three(self, tmp_path, capsys, monkeypatch, outcome):
+        monkeypatch.setattr("avgtrack.cli._sync_outcome", outcome)
         path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         err = capsys.readouterr().err
@@ -505,7 +512,7 @@ class TestSyncWorker:
         def interrupt(scenario):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr("avgtrack.cli._SYNC_WORKER", "import time; time.sleep(60)")
+        monkeypatch.setattr("avgtrack.cli._sync_outcome", lambda bundle: time.sleep(60))
         monkeypatch.setattr("avgtrack.cli.run", interrupt)
         path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
         started = time.monotonic()
@@ -565,7 +572,7 @@ class TestSyncWorker:
         def no_worker(*args, **kwargs):
             raise AssertionError("a worker was started")
 
-        monkeypatch.setattr(subprocess, "Popen", no_worker)
+        monkeypatch.setattr(os, "fork", no_worker)
         sync = dict(SETTLING_SYNC, step=1e-3)
         path = write_config(tmp_path, tiny_config(clock_sync=sync))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
@@ -575,30 +582,41 @@ class TestSyncWorker:
 
     def test_sync_runs_in_process_when_no_worker_starts(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
-        assert main(["run", str(path), "--out", str(tmp_path / "worker")]) == 0
+        worker = tmp_path / "worker"
+        assert main(["run", str(path), "--out", str(worker)]) == 0
 
         def no_process(*args, **kwargs):
             raise OSError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(subprocess, "Popen", no_process)
-        assert main(["run", str(path), "--out", str(tmp_path / "here")]) == 0
-        for name in ("summary.json", "trace.csv"):
-            here = (tmp_path / "here" / name).read_bytes()
-            assert here == (tmp_path / "worker" / name).read_bytes()
+        for missing in ("fork", "pipe", None):  # None: a platform without os.fork
+            here = tmp_path / f"here-{missing}"
+            with monkeypatch.context() as patch:
+                if missing is None:
+                    patch.delattr(os, "fork")
+                else:
+                    patch.setattr(os, missing, no_process)
+                assert main(["run", str(path), "--out", str(here)]) == 0
+            for name in ("summary.json", "trace.csv"):
+                assert (here / name).read_bytes() == (worker / name).read_bytes()
 
     def test_dev_mode_run_is_silent(self, tmp_path):
         # -X dev shows a pipe never closed or a worker never waited for as a
-        # ResourceWarning, which -W error makes an error on stderr
+        # ResourceWarning, which -W error makes an error on stderr. Python
+        # 3.12 warns of a fork beside threads (OpenBLAS's pool) under -X dev
+        # or from __main__, but not under -W error: hence the second run.
         path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
         env = dict(os.environ, PYTHONPATH=str(Path(avgtrack.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-X", "dev", "-W", "error", "-c",
-             "import sys; from avgtrack.cli import main; sys.exit(main())",
-             "run", str(path), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, check=False,
-        )
-        assert done.returncode == 0
-        assert done.stderr == ""
+        main_call = "import sys; from avgtrack.cli import main; sys.exit(main())"
+        for k, flags in enumerate((["-W", "error", "-c", main_call], ["-m", "avgtrack.cli"])):
+            out = tmp_path / f"out{k}"
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", *flags, "run", str(path), "--out", str(out)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert done.returncode == 0
+            assert done.stderr == ""
+            # a child that flushed the stdout buffer it inherited would repeat it
+            assert done.stdout == f"wrote {out / 'trace.csv'} and {out / 'summary.json'}\n"
 
 
 class TestCompareCommand:

@@ -137,20 +137,33 @@ class TestPlanSync:
         assert plan.handover == result.handover
 
     @pytest.mark.parametrize(
-        "count, offsets, convention, tol, step, match",
+        "count, offsets, convention, tol, step, horizon, match",
         [
-            (2, [1.0, 0.0], ATTRACTING, 0.0, 1e-5, "positive"),
-            (2, [1.0, 0.0], ATTRACTING, 1e-9, -1e-5, "positive"),
-            (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-3, "too coarse"),
-            (3, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, "agent count"),
-            (2, [np.inf, 0.0], ATTRACTING, 1e-9, 1e-5, "finite"),
-            (2, [1.0, 0.0], "repelling", 1e-9, 1e-5, "convention"),
+            (2, [1.0, 0.0], ATTRACTING, 0.0, 1e-5, None, "positive"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, -1e-5, None, "positive"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-3, None, "too coarse"),
+            (3, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, None, "agent count"),
+            (2, [np.inf, 0.0], ATTRACTING, 1e-9, 1e-5, None, "finite"),
+            (2, [1.0, 0.0], "repelling", 1e-9, 1e-5, None, "convention"),
+            (2, [1.0, 0.0], ATTRACTING, np.nan, 1e-5, None, "^tol must be positive and finite"),
+            (2, [1.0, 0.0], ATTRACTING, np.inf, 1e-5, None, "^tol must be positive and finite"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, np.nan, None, "^step must be positive and finite"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, np.inf, None, "^step must be positive and finite"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, -1.0, "^horizon must be nonnegative"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, np.nan, "^horizon must be nonnegative"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, np.inf, "^horizon must be nonnegative"),
         ],
-        ids=["tol", "step", "coarse", "count", "nonfinite", "convention"],
+        ids=[
+            "tol", "step", "coarse", "count", "nonfinite", "convention", "tol-nan",
+            "tol-inf", "step-nan", "step-inf", "horizon-negative", "horizon-nan",
+            "horizon-inf",
+        ],
     )
-    def test_checks_run_syncs_arguments(self, count, offsets, convention, tol, step, match):
+    def test_checks_run_syncs_arguments(
+        self, count, offsets, convention, tol, step, horizon, match
+    ):
         with pytest.raises(ValueError, match=match):
-            plan_sync(count, offsets, convention, tol, step)
+            plan_sync(count, offsets, convention, tol, step, horizon)
 
 
 class TestRunSync:
