@@ -6,12 +6,9 @@ across repeated invocations of the same configuration. Exit codes: 0
 success, 1 file/schema problems, 2 violated design assumptions, 3 numerical
 failures.
 
-With clock sync enabled, run and compare run the sync pre-phase in a forked
-copy of the CLI process alongside tracking: tracking starts from the
-hand-over clock, which the inputs alone fix (clocksync.plan_sync), and the
-child's outcome is read before any output is written. Where no process can
-be forked the pre-phase runs in the CLI, first. Outputs, exit codes and the
-stderr line are the same either way, and no child outlives the CLI.
+With clock sync enabled, run and compare run the sync pre-phase first, in
+the CLI's process, and start tracking with every clock at its hand-over
+value: a sync that does not settle fails before any tracking.
 """
 
 from __future__ import annotations
@@ -25,7 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .clocksync import ATTRACTING, PAPER_LITERAL, clock_spread, plan_sync, run_sync
+from .clocksync import (
+    ATTRACTING,
+    DEFAULT_STEP,
+    DEFAULT_TOL,
+    PAPER_LITERAL,
+    clock_spread,
+    run_sync,
+)
 from .controllers import design_adaptive_params, design_gains, omega_radii
 from .engine import Scenario, Trace, run, total_variation, tracking_error
 from .errors import ConfigError, DesignError, NumericalError
@@ -274,8 +278,8 @@ class ScenarioBundle:
         self.sync_convention = sync.get("convention", ATTRACTING)
         if self.sync_convention not in (ATTRACTING, PAPER_LITERAL):
             raise ConfigError(f"clock_sync.convention must be {ATTRACTING} or {PAPER_LITERAL}")
-        self.sync_tol = _number(sync.get("tol", 1e-9), "clock_sync.tol", positive=True)
-        self.sync_step = _number(sync.get("step", 1e-5), "clock_sync.step", positive=True)
+        self.sync_tol = _number(sync.get("tol", DEFAULT_TOL), "clock_sync.tol", positive=True)
+        self.sync_step = _number(sync.get("step", DEFAULT_STEP), "clock_sync.step", positive=True)
 
         self.out_dir = Path(doc.get("output", {}).get("dir", "out"))
 
@@ -436,23 +440,24 @@ def cmd_gains(config_path, out_dir=None) -> int:
     return 0
 
 
-def _unstorable(key: str, what: str) -> ConfigError:
-    return ConfigError(f"{key}: {what} do not fit in memory")
-
-
 @contextmanager
 def _stored(key: str, what: str):
     """Turns a MemoryError storing what, set by config key, into a ConfigError."""
     try:
         yield
     except MemoryError as exc:
-        raise _unstorable(key, what) from exc
+        raise ConfigError(f"{key}: {what} do not fit in memory") from exc
 
 
-def _sync_outcome(bundle: ScenarioBundle) -> dict:
-    """Runs the bundle's sync: its settled_at and final spread, or
-    unstorable when its steps do not fit in memory."""
-    try:
+def _sync_pre_phase(bundle: ScenarioBundle):
+    """Runs the bundle's sync pre-phase: (its clock_sync block, the clocks
+    tracking starts from, all at the hand-over value), or (None, None) with
+    sync off. Raises a ConfigError when its steps do not fit in memory and a
+    NumericalError when it does not settle."""
+    if not bundle.sync_enabled:
+        return None, None
+    spread = clock_spread(bundle.sync_offsets)
+    with _stored("clock_sync.initial_offsets", f"the sync steps for a spread of {spread:g}"):
         result = run_sync(
             bundle.topology,
             bundle.sync_offsets,
@@ -460,140 +465,20 @@ def _sync_outcome(bundle: ScenarioBundle) -> dict:
             tol=bundle.sync_tol,
             step=bundle.sync_step,
         )
-    except MemoryError:
-        return {"unstorable": True}
-    return {"settled_at": result.settled_at, "final_spread": clock_spread(result.clocks[-1])}
-
-
-def _sync_child(bundle: ScenarioBundle, parent: int, read_fd: int, write_fd: int):
-    """The forked child: writes the sync outcome to write_fd as JSON, and ends
-    itself within 0.1 s of its parent's death (SIGTERM ends the parent without
-    clean-up). It leaves only through os._exit: it never unwinds into the
-    caller's stack or flushes the stdio buffers it inherited."""
-    code = 1
-    try:
-        import threading
-        import time
-
-        os.close(read_fd)
-
-        def watch():
-            while os.getppid() == parent:
-                time.sleep(0.1)
-            os._exit(1)
-
-        threading.Thread(target=watch, daemon=True).start()
-        with open(write_fd, "w", encoding="utf-8") as pipe:
-            pipe.write(json.dumps(_sync_outcome(bundle)))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _sync_info(bundle: ScenarioBundle, outcome: dict) -> dict:
-    """The clock_sync block of a sync outcome, or the sync's failure."""
-    if outcome.get("unstorable"):
-        spread = clock_spread(bundle.sync_offsets)
-        raise _unstorable(
-            "clock_sync.initial_offsets", f"the sync steps for a spread of {spread:g}"
-        )
-    if outcome["settled_at"] is None:
-        raise NumericalError(
-            f"clock synchronization did not settle below {bundle.sync_tol}"
-        )
-    return {
-        "settled_at": outcome["settled_at"],
-        "final_spread": outcome["final_spread"],
+    if result.settled_at is None:
+        raise NumericalError(f"clock synchronization did not settle below {bundle.sync_tol}")
+    info = {
+        "settled_at": result.settled_at,
+        "final_spread": clock_spread(result.clocks[-1]),
         "tol": bundle.sync_tol,
     }
-
-
-def _handover_clocks(bundle: ScenarioBundle) -> np.ndarray:
-    """Exactly equal clocks at the sync's hand-over value; raises the sync's
-    ValueErrors (run_sync's argument checks)."""
-    plan = plan_sync(
-        bundle.topology.vertex_count,
-        bundle.sync_offsets,
-        convention=bundle.sync_convention,
-        tol=bundle.sync_tol,
-        step=bundle.sync_step,
-    )
-    return np.full(bundle.topology.vertex_count, plan.handover)
-
-
-def _fork_sync(bundle: ScenarioBundle):
-    """(pid, read end of its pipe) of a forked child running the sync
-    pre-phase (_sync_child), or None where no process can be had."""
-    try:
-        read_fd, write_fd = os.pipe()
-    except OSError:
-        return None
-    # threading, time and warnings are imported where used: at the top, the
-    # changed import order raised large_static's (no sync) peak by 0.15 MB
-    import warnings
-
-    parent = os.getpid()
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12 warns of a fork beside threads, such as OpenBLAS's
-            # pool. The child makes no BLAS call (only indexing, bincount and
-            # element-wise ops), so it cannot wait on a lock a pool thread held.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except (AttributeError, OSError):  # no os.fork here, or no process
-        os.close(read_fd)
-        os.close(write_fd)
-        return None
-    if pid == 0:
-        _sync_child(bundle, parent, read_fd, write_fd)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-@contextmanager
-def _sync_alongside(bundle: ScenarioBundle):
-    """Yields (clocks0 for tracking, finish): finish() waits for the sync
-    pre-phase and returns its clock_sync block, or raises its failure. With
-    sync off, (None, a finish returning None). The pre-phase runs in a
-    forked child, started here, which is killed and waited for on any exit;
-    where none can be forked it runs here, first."""
-    if not bundle.sync_enabled:
-        yield None, lambda: None
-        return
-    clocks0 = _handover_clocks(bundle)
-    child = _fork_sync(bundle)
-    if child is None:
-        info = _sync_info(bundle, _sync_outcome(bundle))
-        yield clocks0, lambda: info
-        return
-    pid, read_fd = child
-    waited = False
-
-    def finish():
-        nonlocal waited
-        text = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        waited = True
-        if code == 0:
-            return _sync_info(bundle, json.loads(text))
-        raise NumericalError(
-            f"clock synchronization worker exited with code {code} and no result"
-        )
-
-    with open(read_fd, "rb") as pipe:
-        try:
-            yield clocks0, finish
-        finally:
-            if not waited:  # stop it
-                os.kill(pid, 9)  # SIGKILL; importing signal adds 0.2 MB of peak
-                os.waitpid(pid, 0)
+    return info, np.full(bundle.topology.vertex_count, result.handover)
 
 
 def _simulate(config_path, out_dir, directions, horizon=None, step=None):
     """Load, design, sync when enabled and run once per entry of directions
-    (True: discontinuous), tracking while the sync runs alongside. A failed
-    sync is reported before any tracking failure, as when it ran first.
-    Returns (bundle, gains, adapt, sync_info, traces, out)."""
+    (True: discontinuous). Returns (bundle, gains, adapt, sync_info, traces,
+    out)."""
     if horizon is not None:
         horizon = _number(horizon, "--horizon", nonnegative=True)
     if step is not None:
@@ -604,27 +489,22 @@ def _simulate(config_path, out_dir, directions, horizon=None, step=None):
     )
     bundle = ScenarioBundle(load_config(config_path))
     gains, adapt = bundle.design()
-    with _sync_alongside(bundle) as (clocks0, finish_sync):
-        traces = []
-        try:
-            for discontinuous in directions:
-                scenario = bundle.scenario(
-                    gains, adapt, horizon=horizon, step=step,
-                    discontinuous=discontinuous, clocks0=clocks0,
-                )
-                if scenario.horizon / scenario.step > _MAX_STEPS:
-                    raise ConfigError(
-                        f"{length_key}: {scenario.horizon:g} s in steps of "
-                        f"{scenario.step:g} s is past float resolution (more than "
-                        f"2**53 steps)"
-                    )
-                samples = scenario.steps // scenario.sample_every + 1
-                with _stored(length_key, f"{samples} trace samples"):
-                    traces.append(run(scenario))
-        except Exception:
-            finish_sync()
-            raise
-        sync_info = finish_sync()
+    sync_info, clocks0 = _sync_pre_phase(bundle)
+    traces = []
+    for discontinuous in directions:
+        scenario = bundle.scenario(
+            gains, adapt, horizon=horizon, step=step,
+            discontinuous=discontinuous, clocks0=clocks0,
+        )
+        if scenario.horizon / scenario.step > _MAX_STEPS:
+            raise ConfigError(
+                f"{length_key}: {scenario.horizon:g} s in steps of "
+                f"{scenario.step:g} s is past float resolution (more than "
+                f"2**53 steps)"
+            )
+        samples = scenario.steps // scenario.sample_every + 1
+        with _stored(length_key, f"{samples} trace samples"):
+            traces.append(run(scenario))
 
     out = Path(out_dir) if out_dir is not None else bundle.out_dir
     out.mkdir(parents=True, exist_ok=True)

@@ -5,19 +5,18 @@ The coupling sign matters: with the attracting convention (the default)
 clock offsets contract to zero in finite time; the literal-plus convention
 is retained as an option purely to demonstrate that offsets then grow.
 The square-root term is not Lipschitz at zero, so a dead band treats
-offsets below 1e-12 as already synchronized to avoid limit cycling on the
-synchronized manifold.
+offsets below 1e-12 as already synchronized.
 
-clock_law is the one form of the law: the sync pre-phase steps it through
-matkernel.rk4. The simulation engine's clock rows scatter its per-edge
-term, edge_coupling, through the engine's edge operators, which gives
-clock_law bit for bit, and the engine calls clock_law itself where it
-steps everything but the direction term.
-
-plan_sync fixes the phase's length and its hand-over clock from the inputs
-alone, so a caller can start tracking from SyncPlan.handover while run_sync
-still runs: the CLI runs it in a forked copy of its process alongside
-tracking.
+clock_law is the one form of the law. The sync pre-phase steps the
+attracting convention by a linearly implicit Euler step with each edge's
+weight frozen at the start of the step (the consistent discretization of
+finite-time stable systems of Polyakov, Efimov & Brogliato, 2019), which
+cannot overshoot, so the spread never grows and stepping stops at the first
+step below tol. The literal convention, which has no such step, is stepped
+through matkernel.rk4 to its horizon. The simulation engine's clock rows
+scatter clock_law's per-edge term, edge_coupling, through the engine's
+edge operators, which gives clock_law bit for bit, and the engine calls
+clock_law itself where it steps everything but the direction term.
 """
 
 from __future__ import annotations
@@ -33,6 +32,9 @@ ATTRACTING = "attracting"
 PAPER_LITERAL = "paper_literal"
 
 DEAD_BAND = 1e-12
+
+DEFAULT_TOL = 1e-9
+DEFAULT_STEP = 1e-4
 
 
 def coupling_sign(convention: str) -> float:
@@ -89,7 +91,10 @@ def clock_law(t: float, clocks: np.ndarray, sigma: float, sources, targets) -> n
     """dt_i/dt = 1 + sigma * sum_{j in N_i} edge_coupling(t_i - t_j), summed
     with bincount over the arcs i -> j of Topology.arcs(), sigma being +1 or
     -1 (coupling_sign). The law is autonomous: t is there so that rk4 steps
-    it as it is. Returns a new array, which rk4 may overwrite."""
+    it as it is, as the engine and the literal convention's sync do; the
+    attracting sync's implicit step (_implicit_clock_step) takes its
+    right-hand side from the same per-edge term. Returns a new array, which
+    rk4 may overwrite."""
     # t_j - t_i is -(t_i - t_j) exactly and edge_coupling is odd, so for
     # sigma = -1 the sum over t_j - t_i is sigma times the sum, bit for bit,
     # without a multiplication
@@ -116,14 +121,10 @@ class SyncResult:
 
     @property
     def handover(self) -> float:
-        """Common clock at the end of the phase: SyncPlan.handover."""
-        return _handover(self.clocks[0], self.horizon)
-
-
-def _handover(initial: np.ndarray, horizon: float) -> float:
-    # each edge's coupling is antisymmetric, so the mean clock runs at rate 1
-    # and this is where the full-horizon trajectory's mean ends, less roundoff
-    return float(initial.mean() + horizon)
+        """Common clock at the end of the phase, mean(initial) + horizon: each
+        edge's coupling is antisymmetric, so the mean clock runs at rate 1 and
+        this is where the full-horizon trajectory's mean ends, less roundoff."""
+        return float(self.clocks[0].mean() + self.horizon)
 
 
 @dataclass(frozen=True)
@@ -139,37 +140,26 @@ class SyncPlan:
     def horizon(self) -> float:
         return self.steps * self.step
 
-    @property
-    def handover(self) -> float:
-        """Common clock at the end of the phase, mean(initial) + horizon,
-        which run_sync's result reports bit for bit."""
-        return _handover(self.state.times, self.horizon)
-
 
 def plan_sync(
     vertex_count: int,
     initial,
     convention: str = ATTRACTING,
-    tol: float = 1e-9,
-    step: float = 1e-5,
+    tol: float = DEFAULT_TOL,
+    step: float = DEFAULT_STEP,
     horizon: float | None = None,
 ) -> SyncPlan:
     """Checks run_sync's arguments and fixes its length: ValueError for a
     tol or step that is not positive and finite, a horizon that is not
-    nonnegative and finite, a step too coarse for tol, bad clocks or
-    convention, or a clock count other than vertex_count. The horizon
-    defaults to max(1, 4 sqrt(max(spread, tol))), a generous multiple of the
-    worst-offset settling estimate, and is rounded to whole steps."""
+    nonnegative and finite, bad clocks or convention, or a clock count other
+    than vertex_count. The horizon defaults to max(1, 4 sqrt(max(spread,
+    tol))), a generous multiple of the worst-offset settling estimate, and is
+    rounded to whole steps."""
     for name, value in (("tol", tol), ("step", step)):
         if not 0.0 < value < np.inf:  # NaN fails too
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if horizon is not None and not 0.0 <= horizon < np.inf:
         raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
-    if 2.0 * step * step >= tol:
-        raise ValueError(
-            f"step {step} too coarse for tol {tol}: the residual spread of the "
-            f"discretized dynamics is about 2*step^2"
-        )
     state = ClockState(times=initial, convention=convention)
     if state.times.shape[0] != vertex_count:
         raise ValueError("initial clock vector and topology disagree on the agent count")
@@ -179,25 +169,62 @@ def plan_sync(
     return SyncPlan(state=state, step=step, steps=int(round(horizon / step)))
 
 
+def _implicit_clock_step(topology: Topology, step: float):
+    """The attracting law's linearly implicit Euler step of the given size,
+    as a function of the clocks t: the t+ solving (I + L_g) t+ = t + step,
+    L_g the graph Laplacian with edge weights g = step / sqrt|t_i - t_j|
+    frozen at t, and 0 inside the dead band. I + L_g is a symmetric M-matrix
+    with unit row sums, so its inverse is nonnegative with unit row sums: t+
+    is an average of t + step, and its spread is at most t's.
+
+    It is solved for the increment, t+ = t + step + d with
+    (I + L_g) d = -L_g t, so that rounding scales with d, not with t: the
+    mean clock advances by step to rounding of d. L_g t is the law's
+    coupling times step: g (t_i - t_j) = step sig(t_i - t_j) sqrt|t_i - t_j|."""
+    n = topology.vertex_count
+    tails, heads = topology.tails, topology.heads
+    # flat indices of the diagonal's unit entries, of each edge's (i, i),
+    # (j, j), (i, j) and (j, i) entries, then of the right-hand side past the
+    # n x n matrix, so that one bincount sums the whole system
+    index = np.concatenate((
+        np.arange(n) * (n + 1), tails * (n + 1), heads * (n + 1),
+        tails * n + heads, heads * n + tails, n * n + tails, n * n + heads,
+    ))
+    ones = np.ones(n)
+
+    def advance(clocks: np.ndarray) -> np.ndarray:
+        diff = clocks[tails] - clocks[heads]
+        gap = np.abs(diff)
+        gap[gap < DEAD_BAND] = np.inf  # a weight of 0
+        weight = step / np.sqrt(gap)
+        flux = weight * diff  # each edge's term of L_g t
+        negative = -weight
+        values = np.concatenate((ones, weight, weight, negative, negative, -flux, flux))
+        system = np.bincount(index, values, n * (n + 1))
+        increment = np.linalg.solve(system[: n * n].reshape(n, n), system[n * n:])
+        increment += step
+        increment += clocks
+        return increment
+
+    return advance
+
+
 def run_sync(
     topology: Topology,
     initial: np.ndarray,
     convention: str = ATTRACTING,
-    tol: float = 1e-9,
-    step: float = 1e-5,
+    tol: float = DEFAULT_TOL,
+    step: float = DEFAULT_STEP,
     horizon: float | None = None,
 ) -> SyncResult:
-    """Integrate the clock dynamics until the spread reaches its
-    discretization floor.
+    """Step the clock dynamics until the spread is below tol.
 
-    Classical fourth-order steps of clock_law at the given size, for the
-    length plan_sync fixes (which also checks the arguments). The discrete
-    dynamics park on a residual limit cycle of spread roughly 2 * step^2
-    around the synchronized manifold, so the step must satisfy
-    2 * step^2 < tol (the default pairs with tol = 1e-9), and stepping stops
-    at the first step whose spread is at or below 2 * step^2: from there on
-    the spread stays below tol. A spread that never gets there (the
-    literal-plus convention) is stepped to the horizon.
+    Steps of the given size, for the length plan_sync fixes (which also
+    checks the arguments). The attracting convention takes linearly implicit
+    Euler steps (_implicit_clock_step), whose spread never grows, and stops
+    at the first step whose spread is below tol: from there on the spread
+    stays below tol. The literal convention, whose spread grows, takes
+    classical fourth-order steps of clock_law to the horizon.
 
     Returns the trajectory up to the last step taken, so settling can be
     audited; ``settled_at`` is None when the spread never stayed below tol.
@@ -206,9 +233,15 @@ def run_sync(
     n = topology.vertex_count
     plan = plan_sync(n, initial, convention, tol, step, horizon)
     times0, steps = plan.state.times, plan.steps
-    floor = 2.0 * step * step
-    sigma = coupling_sign(convention)
-    sources, targets = topology.arcs()
+    attracting = convention == ATTRACTING
+    if attracting:
+        advance = _implicit_clock_step(topology, step)
+    else:
+        sigma = coupling_sign(convention)
+        sources, targets = topology.arcs()
+
+        def advance(clocks):
+            return rk4(clock_law, 0.0, clocks, step, sigma, sources, targets)
 
     # sized for the whole horizon, so that a horizon too long to store fails
     # here; rows past the stop are never written, so never resident
@@ -219,8 +252,8 @@ def run_sync(
     out_c[0] = times0
     clk = times0
     k = 0
-    while k < steps and clock_spread(clk) > floor:
-        clk = rk4(clock_law, k * step, clk, step, sigma, sources, targets)
+    while k < steps and not (attracting and clock_spread(clk) < tol):
+        clk = advance(clk)
         k += 1
         out_c[k] = clk
     times = np.arange(k + 1) * step

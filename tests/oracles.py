@@ -2,8 +2,8 @@
 reference derivative, of the edge laws, of the clock law and of the real PBH
 rank test, kept as independent oracles for the compiled engine,
 clocksync.clock_law and the complex PBH test in the package, and the
-clock-sync pre-phase stepped to its full horizon, the oracle for the sync's
-stop rule. Also the centering matrix and the engine's flat state layout,
+clock-sync pre-phase stepped to its full horizon, implicitly (attracting) and
+by RK4 (literal), the oracles for the sync's stop rule. Also the centering matrix and the engine's flat state layout,
 which only the tests need.
 
 Each law is written agent by agent and edge by edge, straight from its
@@ -195,20 +195,52 @@ def pbh_rank_real(a, b, sigma_re: float, omega_im: float) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
+def _sync_steps(clk: np.ndarray, tol: float, step: float, horizon: float | None) -> int:
+    if horizon is None:  # the default of run_sync
+        horizon = max(1.0, 4.0 * np.sqrt(max(float(clock_spread(clk)), tol)))
+    return int(round(horizon / step))
+
+
 def full_horizon_sync(topology: Topology, initial, convention: str, tol: float, step: float,
                       horizon: float | None = None):
     """Every RK4 step of the clock law up to the horizon, with no early stop:
     (times (S,), clocks (S, N)). The horizon defaults as in run_sync."""
     clk = np.asarray(initial, dtype=float)
-    if horizon is None:
-        horizon = max(1.0, 4.0 * np.sqrt(max(float(clock_spread(clk)), tol)))
     sigma = coupling_sign(convention)
     sources, targets = topology.arcs()
-    steps = int(round(horizon / step))
+    steps = _sync_steps(clk, tol, step, horizon)
     clocks = np.empty((steps + 1, clk.shape[0]))
     clocks[0] = clk
     for k in range(steps):
         clk = rk4(clock_law, k * step, clk, step, sigma, sources, targets)
+        clocks[k + 1] = clk
+    return np.arange(steps + 1) * step, clocks
+
+
+def full_horizon_implicit_sync(topology: Topology, initial, tol: float, step: float,
+                               horizon: float | None = None):
+    """Every linearly implicit Euler step of the attracting clock law up to
+    the horizon, with no early stop: (times (S,), clocks (S, N)). Each step
+    assembles I + L_g edge by edge, with weight g = step / sqrt|t_i - t_j|
+    frozen at the step's start (none inside the dead band), and solves
+    (I + L_g) t+ = t + step. The horizon defaults as in run_sync."""
+    clk = np.asarray(initial, dtype=float)
+    n = clk.shape[0]
+    steps = _sync_steps(clk, tol, step, horizon)
+    clocks = np.empty((steps + 1, n))
+    clocks[0] = clk
+    for k in range(steps):
+        matrix = np.eye(n)
+        for i, j in topology.edges:
+            gap = abs(clk[i] - clk[j])
+            if gap < DEAD_BAND:
+                continue
+            g = step / math.sqrt(gap)
+            matrix[i, i] += g
+            matrix[j, j] += g
+            matrix[i, j] -= g
+            matrix[j, i] -= g
+        clk = np.linalg.solve(matrix, clk + step)
         clocks[k + 1] = clk
     return np.arange(steps + 1) * step, clocks
 

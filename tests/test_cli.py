@@ -1,9 +1,7 @@
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -423,21 +421,16 @@ class TestRunCommand:
         assert summary["max_clock_spread"] == 0.0
 
 
-def in_process_sync_info(bundle):
-    """The clock_sync block of the sync pre-phase run in this process."""
-    return cli._sync_info(bundle, cli._sync_outcome(bundle))
-
-
 class TestSyncHandOver:
     def test_shipped_static_scenario_hands_over_pinned_clocks(self):
-        # the spread at the stop step moves with any change to the RK4 step or
-        # to the clock law's arithmetic; the hand-over is mean(offsets) + horizon
+        # the spread at the stop step moves with any change to the clock step's
+        # arithmetic; the hand-over is mean(offsets) + horizon
         bundle = ScenarioBundle(load_config(STATIC_CONFIG))
-        clocks0, info = cli._handover_clocks(bundle), in_process_sync_info(bundle)
-        assert info["settled_at"] == 0.20033
-        assert info["final_spread"] == 1.8663454115497302e-10
+        info, clocks0 = cli._sync_pre_phase(bundle)
+        assert info["settled_at"] == 0.2015
+        assert info["final_spread"] == 5.252549228895731e-10
         assert clocks0.shape == (6,)
-        assert np.all(clocks0 == 1.2016666666666669)
+        assert np.all(clocks0 == 1.2016666666666667)
 
 
 def assert_no_child_left():
@@ -449,34 +442,23 @@ def fail_tracking(scenario):
     raise NumericalError("tracking failed")
 
 
-def exit_seven(bundle):
-    os._exit(7)
-
-
-def raise_error(bundle):
-    raise RuntimeError("sync failed")
-
-
-def kill_self(bundle):
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 class TestSyncWorker:
-    """The sync pre-phase runs in a forked child alongside tracking;
-    outputs, exit codes and stderr are those of running it first."""
+    """The sync pre-phase runs in the CLI's process, before tracking and
+    without starting a process; a failed sync is reported before any
+    tracking."""
 
     def test_run_block_is_the_in_process_pre_phase(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", str(STATIC_CONFIG), "--horizon", "1", "--out", str(out)]) == 0
         assert_no_child_left()
-        info = in_process_sync_info(ScenarioBundle(load_config(STATIC_CONFIG)))
+        info, _ = cli._sync_pre_phase(ScenarioBundle(load_config(STATIC_CONFIG)))
         assert json.loads((out / "summary.json").read_text())["clock_sync"] == info
 
     def test_compare_block_is_the_in_process_pre_phase(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["compare", str(STATIC_CONFIG), "--out", str(out)]) == 0
         assert_no_child_left()
-        info = in_process_sync_info(ScenarioBundle(load_config(STATIC_CONFIG)))
+        info, _ = cli._sync_pre_phase(ScenarioBundle(load_config(STATIC_CONFIG)))
         assert json.loads((out / "comparison.json").read_text())["clock_sync"] == info
 
     def test_tracking_failure_is_three_with_no_child_left(self, tmp_path, capsys, monkeypatch):
@@ -495,128 +477,21 @@ class TestSyncWorker:
         assert err == "numeric-error: clock synchronization did not settle below 1e-06\n"
         assert_no_child_left()
 
-    @pytest.mark.parametrize(
-        "outcome", [exit_seven, raise_error, kill_self], ids=["exit-code", "raises", "killed"]
-    )
-    def test_worker_without_a_result_is_three(self, tmp_path, capsys, monkeypatch, outcome):
-        monkeypatch.setattr("avgtrack.cli._sync_outcome", outcome)
-        path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numeric-error: clock synchronization worker exited")
-        assert len(err.strip().splitlines()) == 1
-        assert_no_child_left()
-        assert not (tmp_path / "out").exists()
-
-    def test_interrupt_kills_the_worker(self, tmp_path, capsys, monkeypatch):
-        def interrupt(scenario):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr("avgtrack.cli._sync_outcome", lambda bundle: time.sleep(60))
-        monkeypatch.setattr("avgtrack.cli.run", interrupt)
-        path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
-        started = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            main(["run", str(path), "--out", str(tmp_path / "out")])
-        assert time.monotonic() - started < 30.0
-        assert_no_child_left()
-
-    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-    def test_worker_ends_with_a_terminated_cli(self, tmp_path):
-        # SIGTERM ends the CLI without clean-up; the worker must notice.
-        # The diverging sync runs its full 120 000 steps, several seconds.
-        doc = json.loads(STATIC_CONFIG.read_text())
-        doc["clock_sync"]["convention"] = "paper_literal"
-        path = write_config(tmp_path, doc)
-        env = dict(os.environ, PYTHONPATH=str(Path(avgtrack.__file__).resolve().parents[1]))
-        cli_proc = subprocess.Popen(
-            [sys.executable, "-m", "avgtrack.cli", "run", str(path), "--out", str(tmp_path / "out")],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-
-        def running_children():
-            found = []
-            for entry in os.listdir("/proc"):
-                try:
-                    stat = Path(f"/proc/{entry}/stat").read_text().rsplit(")", 1)[1].split()
-                except (OSError, IndexError):
-                    continue
-                if stat[1] == str(cli_proc.pid) and stat[0] != "Z":
-                    found.append(int(entry))
-            return found
-
-        try:
-            deadline = time.monotonic() + 20.0
-            while not running_children() and time.monotonic() < deadline:
-                time.sleep(0.02)
-            workers = running_children()
-            assert workers
-            cli_proc.terminate()
-            cli_proc.wait(timeout=20.0)
-            deadline = time.monotonic() + 2.0
-            while time.monotonic() < deadline:
-                stats = [Path(f"/proc/{w}/stat") for w in workers]
-                if all(
-                    not stat.exists() or stat.read_text().rsplit(")", 1)[1].split()[0] == "Z"
-                    for stat in stats
-                ):
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("the sync worker outlived its CLI")
-        finally:
-            cli_proc.kill()
-            cli_proc.wait()
-
-    def test_argument_errors_come_before_the_worker(self, tmp_path, capsys, monkeypatch):
-        def no_worker(*args, **kwargs):
-            raise AssertionError("a worker was started")
-
-        monkeypatch.setattr(os, "fork", no_worker)
-        sync = dict(SETTLING_SYNC, step=1e-3)
-        path = write_config(tmp_path, tiny_config(clock_sync=sync))
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("schema-error: step 0.001 too coarse for tol 1e-09")
-        assert len(err.strip().splitlines()) == 1
-
-    def test_sync_runs_in_process_when_no_worker_starts(self, tmp_path, capsys, monkeypatch):
-        path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
-        worker = tmp_path / "worker"
-        assert main(["run", str(path), "--out", str(worker)]) == 0
-
-        def no_process(*args, **kwargs):
-            raise OSError(11, "Resource temporarily unavailable")
-
-        for missing in ("fork", "pipe", None):  # None: a platform without os.fork
-            here = tmp_path / f"here-{missing}"
-            with monkeypatch.context() as patch:
-                if missing is None:
-                    patch.delattr(os, "fork")
-                else:
-                    patch.setattr(os, missing, no_process)
-                assert main(["run", str(path), "--out", str(here)]) == 0
-            for name in ("summary.json", "trace.csv"):
-                assert (here / name).read_bytes() == (worker / name).read_bytes()
-
     def test_dev_mode_run_is_silent(self, tmp_path):
-        # -X dev shows a pipe never closed or a worker never waited for as a
-        # ResourceWarning, which -W error makes an error on stderr. Python
-        # 3.12 warns of a fork beside threads (OpenBLAS's pool) under -X dev
-        # or from __main__, but not under -W error: hence the second run.
+        # -X dev shows a resource never released as a ResourceWarning, which
+        # -W error makes an error on stderr
         path = write_config(tmp_path, tiny_config(clock_sync=SETTLING_SYNC))
         env = dict(os.environ, PYTHONPATH=str(Path(avgtrack.__file__).resolve().parents[1]))
         main_call = "import sys; from avgtrack.cli import main; sys.exit(main())"
-        for k, flags in enumerate((["-W", "error", "-c", main_call], ["-m", "avgtrack.cli"])):
-            out = tmp_path / f"out{k}"
-            done = subprocess.run(
-                [sys.executable, "-X", "dev", *flags, "run", str(path), "--out", str(out)],
-                capture_output=True, text=True, env=env, check=False,
-            )
-            assert done.returncode == 0
-            assert done.stderr == ""
-            # a child that flushed the stdout buffer it inherited would repeat it
-            assert done.stdout == f"wrote {out / 'trace.csv'} and {out / 'summary.json'}\n"
+        out = tmp_path / "out"
+        done = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-c", main_call,
+             "run", str(path), "--out", str(out)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert done.stdout == f"wrote {out / 'trace.csv'} and {out / 'summary.json'}\n"
 
 
 class TestCompareCommand:

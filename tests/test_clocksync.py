@@ -15,7 +15,7 @@ from avgtrack.clocksync import (
 from avgtrack.graph import Topology
 
 from conftest import demo_topology
-from oracles import clock_rates, full_horizon_sync, sig_half
+from oracles import clock_rates, full_horizon_implicit_sync, full_horizon_sync, sig_half
 
 PAIR = Topology(vertex_count=2, edges=((0, 1),))
 
@@ -122,7 +122,7 @@ class TestPlanSync:
     @pytest.mark.parametrize(
         "offsets, convention, tol, step, horizon",
         [
-            (SHIPPED_OFFSETS, ATTRACTING, 1e-9, 1e-5, None),
+            (SHIPPED_OFFSETS, ATTRACTING, 1e-9, 1e-4, None),
             (SEEDED_OFFSETS, ATTRACTING, 1e-6, 1e-4, None),
             (np.zeros(6), ATTRACTING, 1e-9, 1e-5, None),
             (SHIPPED_OFFSETS, PAPER_LITERAL, 1e-6, 1e-4, None),
@@ -134,14 +134,13 @@ class TestPlanSync:
         plan = plan_sync(6, offsets, convention, tol, step, horizon)
         result = run_sync(demo_topology(), offsets, convention, tol, step, horizon)
         assert plan.horizon == result.horizon
-        assert plan.handover == result.handover
+        assert result.handover == float(plan.state.times.mean() + plan.horizon)
 
     @pytest.mark.parametrize(
         "count, offsets, convention, tol, step, horizon, match",
         [
             (2, [1.0, 0.0], ATTRACTING, 0.0, 1e-5, None, "positive"),
             (2, [1.0, 0.0], ATTRACTING, 1e-9, -1e-5, None, "positive"),
-            (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-3, None, "too coarse"),
             (3, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, None, "agent count"),
             (2, [np.inf, 0.0], ATTRACTING, 1e-9, 1e-5, None, "finite"),
             (2, [1.0, 0.0], "repelling", 1e-9, 1e-5, None, "convention"),
@@ -154,7 +153,7 @@ class TestPlanSync:
             (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, np.inf, "^horizon must be nonnegative"),
         ],
         ids=[
-            "tol", "step", "coarse", "count", "nonfinite", "convention", "tol-nan",
+            "tol", "step", "count", "nonfinite", "convention", "tol-nan",
             "tol-inf", "step-nan", "step-inf", "horizon-negative", "horizon-nan",
             "horizon-inf",
         ],
@@ -197,18 +196,11 @@ class TestRunSync:
         assert result.spreads[-1] < 1e-6
 
     def test_spread_monotone_nonincreasing_above_discretization_floor(self):
+        # the implicit step has no floor: no step lets the spread grow
         rng = np.random.default_rng(14)
         offsets = rng.uniform(-2.0, 2.0, size=6)
-        step = 1e-4
-        result = run_sync(demo_topology(), offsets, tol=1e-6, step=step)
-        spreads = result.spreads
-        floor = 4.0 * step * step
-        above = spreads[:-1] > floor
-        assert np.all(np.diff(spreads)[above] <= 1e-12)
-
-    def test_step_too_coarse_for_tol_rejected(self):
-        with pytest.raises(ValueError, match="too coarse"):
-            run_sync(PAIR, np.array([1.0, 0.0]), tol=1e-9, step=1e-3)
+        result = run_sync(demo_topology(), offsets, tol=1e-6, step=1e-4)
+        assert np.all(np.diff(result.spreads) <= 1e-12)
 
     def test_mean_clock_advances_at_unit_rate(self):
         offsets = np.array([0.6, -0.2, 0.1, 0.0, -0.5, 0.3])
@@ -229,7 +221,6 @@ class TestRunSync:
         assert np.allclose(clock_rates(state, PAIR), 1.0, atol=1e-4)
 
 
-# step 1e-4 keeps the full-horizon oracle short; its floor 2e-8 is below tol 1e-6
 _STOP_CASES = [np.random.default_rng(seed).uniform(-0.1, 0.1, 6) for seed in range(8)]
 
 
@@ -240,16 +231,20 @@ class TestStopAtFloor:
         ids=[f"six-seed{seed}" for seed in range(len(_STOP_CASES))] + ["pair"],
     )
     def test_settles_as_the_full_horizon(self, topology, offsets):
+        # the oracle solves for t+ itself, not for its increment, and
+        # assembles each step's matrix in another order: the two agree to
+        # rounding of the clocks over some thousand steps, not bit for bit
         tol, step = 1e-6, 1e-4
         result = run_sync(topology, offsets, tol=tol, step=step)
-        times, clocks = full_horizon_sync(topology, offsets, ATTRACTING, tol, step)
+        times, clocks = full_horizon_implicit_sync(topology, offsets, tol, step)
         stop = result.times.shape[0] - 1
         assert stop < times.shape[0] - 1
-        assert np.array_equal(result.clocks, clocks[: stop + 1])
+        assert np.array_equal(result.times, times[: stop + 1])
+        assert np.max(np.abs(result.clocks - clocks[: stop + 1])) <= 1e-12
         assert result.settled_at is not None
         assert result.settled_at == settling_time(times, clock_spread(clocks), tol)
         assert np.all(clock_spread(clocks[stop:]) < tol)
-        assert result.handover == pytest.approx(clocks[-1].mean(), abs=1e-9)
+        assert result.handover == pytest.approx(clocks[-1].mean(), abs=1e-12)
 
     def test_literal_convention_runs_to_the_horizon(self):
         offsets = np.array([0.1, 0.0])
