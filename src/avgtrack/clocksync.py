@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Topology
-from .matkernel import rk4
+from .matkernel import rk4, solve
 
 ATTRACTING = "attracting"
 PAPER_LITERAL = "paper_literal"
@@ -201,7 +201,7 @@ def _implicit_clock_step(topology: Topology, step: float):
         negative = -weight
         values = np.concatenate((ones, weight, weight, negative, negative, -flux, flux))
         system = np.bincount(index, values, n * (n + 1))
-        increment = np.linalg.solve(system[: n * n].reshape(n, n), system[n * n:])
+        increment = solve(system[: n * n].reshape(n, n), system[n * n:])
         increment += step
         increment += clocks
         return increment

@@ -48,15 +48,29 @@ N = 200, a median of 0.58 ms a step against 1.20 ms with LU, and 3.8-4.2
 ms against 33 ms at N = 1000. The dense form and unequal clocks keep LU.
 
 At small N a step's cost is the number of numpy calls, not arithmetic, so
-the step keeps that number low where the system allows: the fused map's
-input is written through fixed views of one array, and with equal clocks
-and one input wave "everything else" is an affine system whose RK4 step is
-a polynomial in the drift, written once as a linear map (_affine_step,
-four products with the drift). The edge form evaluates it; the dense form
-multiplies by its matrix, the propagator, read off it once per step size
-(Hairer and Wanner, Solving ODEs II, IV.2). The implicit step's node matrix
-is written at fixed indices into one reused array, and with equal clocks
-the layer eps e^{-phi t} is one value for every edge.
+the step keeps that number low where the system allows. The fused map's
+input is written through fixed views of one array. With equal clocks and
+one input wave "everything else" is an affine system whose RK4 step is a
+polynomial in the drift, written once as a linear map (_affine_step, four
+products with the drift; Hairer and Wanner, Solving ODEs II, IV.2), and the
+layer eps e^{-phi t} is one value for every edge. The implicit step's node
+matrix is written at fixed indices into one reused array.
+
+The dense form with every clock equal at the start, on a connected graph
+with one input wave and the continuous direction term, takes the
+equal-clock path of advance: each step is a few products with matrices
+read off the edge operators once. An RK4 stage is one product with the
+stage map. An implicit step is one product with [P ; G_w P ; G_w 0], P the
+matrix of _affine_step (the propagator) and G_w the gather's w rows, then
+the node matrix I + L f from a fixed map L of the edge weights, and LAPACK's
+LU solve without numpy's wrapper (matkernel.solve). The clocks then stay
+bitwise equal and the layer only thins, so neither is checked per step
+once the layer is unresolved. On the shipped static system (N = 6, one
+BLAS thread, 2-vCPU x86 VM shared with other load; six alternating pairs
+of processes, best of five 2000-step runs each) an implicit step took
+14-26 us against 27-46 us by the general route, and an RK4 step 31-57 us
+against 52-91 us. At the dense limit (dim = 300, N = 50 or 60) both routes
+take 100-160 us an implicit step.
 """
 
 from __future__ import annotations
@@ -70,7 +84,7 @@ from .clocksync import ATTRACTING, clock_law, clock_spread, coupling_sign, edge_
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
 from .graph import Topology, incidence, is_connected, laplacian
-from .matkernel import is_hurwitz, rk4
+from .matkernel import is_hurwitz, rk4, solve
 from .signals import InputFamily, Plant
 
 _CONTROLLERS = ("static", "modified", "adaptive")
@@ -316,11 +330,10 @@ class _Dynamics:
                 self._eye = np.eye(n_agents * p)
             # _solve_lagged's preconditioner and last solution
             self._precond = self._solution = None
-            # [y | 1 | wave weights], the input of _affine_step, and the
-            # dense form's propagator, its matrix at step _prop_dt
+            # [y | 1 | wave weights], the input of _affine_step and of the
+            # equal-clock path's step matrix
             self._step_in = np.zeros(dim + 5)
             self._step_in[dim] = 1.0
-            self._prop_dt = None
             # Rows 0-3: D^j (D y + c) for the step at hand; rows 4-7: D^j a,
             # with D the drift, c the affine column and a the input wave's
             # amplitude (see _affine_step).
@@ -329,6 +342,16 @@ class _Dynamics:
                 self._powers[4] = self.in_amp
                 for j in range(5, 8):
                     self._linear(self._powers[j - 1], self._powers[j])
+
+        # The equal-clock path of advance: the dense form, every clock equal
+        # at the start of a connected graph, one input wave, and the
+        # continuous c2-weighted direction term with a layer (eps > 0).
+        self.equal_clock_path = bool(
+            self.dense and self.connected and self.uniform_wave and self.stiffness > 0.0
+            and self.eps > 0.0 and np.all(sc.clocks0 == sc.clocks0[0])
+        )
+        if self.equal_clock_path:
+            self._compile_equal_clocks()
 
     # -- operator primitives ---------------------------------------------------
     #
@@ -378,12 +401,14 @@ class _Dynamics:
         w = g[self.i_w]
         dclk = g[self.i_clk]
         dx = g[self.i_dx].reshape(self.n_edges, self.n) if self.adaptive else None
+        return w, dclk, self._norms(w), dx
+
+    def _norms(self, w):
+        """Per-edge norms ||w_e|| of flat edge inputs w (E*p,), (E,)."""
         if self.single_channel:
-            nrm = np.abs(w)
-        else:
-            w2 = w.reshape(self.n_edges, self.p)
-            nrm = np.sqrt((w2 * w2).sum(axis=1))
-        return w, dclk, nrm, dx
+            return np.abs(w)
+        w2 = w.reshape(self.n_edges, self.p)
+        return np.sqrt((w2 * w2).sum(axis=1))
 
     def _gather_w(self, y):
         """The edge inputs w = K (x_tail - x_head) alone, flat (E*p,)."""
@@ -447,12 +472,7 @@ class _Dynamics:
             inv = np.divide(1.0, nrm, out=np.zeros_like(nrm), where=nrm > 0.0)
             return inv, inv
         if synced and self.connected:
-            # np.exp, not math.exp, whose last bits differ from the array
-            # form's below
-            lay = self.eps * np.exp(-self.phi * y[self.sl_c.start])
-            if lay < self.layer_floor:  # cheaper than max() on a numpy scalar
-                lay = self.layer_floor
-            inv = 1.0 / (nrm + lay)
+            inv = 1.0 / (nrm + self._synced_layer(y))
             return inv, inv
         lay = self.eps * np.exp(-self.phi * y[self.sl_c])
         np.maximum(lay, self.layer_floor, out=lay)
@@ -460,6 +480,16 @@ class _Dynamics:
         if synced:
             return inv_t, inv_t
         return inv_t, 1.0 / (nrm + lay[self.heads])
+
+    def _synced_layer(self, y):
+        """The layer eps e^{-phi t} at the first clock, floored at
+        layer_floor: every agent's layer when the clocks are equal."""
+        # np.exp, not math.exp, whose last bits differ from the array form's
+        # in _direction_coeffs
+        lay = self.eps * np.exp(-self.phi * y[self.sl_c.start])
+        if lay < self.layer_floor:  # cheaper than max() on a numpy scalar
+            lay = self.layer_floor
+        return lay
 
     def _edge_scale(self, coeff):
         if self.single_channel:
@@ -525,9 +555,18 @@ class _Dynamics:
     def advance(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         """One step of the stacked system from (t, y): classical
         fourth-order Runge-Kutta while it resolves the boundary layer, and
-        implicit_step past that (see layer_unresolved). Above the dense
-        limit with equal clocks the implicit step keeps state between calls,
-        so one _Dynamics serves one trajectory (see implicit_step)."""
+        implicit_step past that (see layer_unresolved). On the equal-clock
+        path the step is _synced_rates' RK4 or _synced_implicit, which read
+        every clock off the first: along a trajectory from the scenario's
+        equal start they stay bitwise equal.
+
+        The implicit step above the dense limit with equal clocks keeps
+        state between calls, so one _Dynamics serves one trajectory (see
+        implicit_step)."""
+        if self.equal_clock_path:
+            if self._layer_thinned(y, dt):
+                return self._synced_implicit(t, y, dt)
+            return rk4(self._synced_rates, t, y, dt)
         if self.layer_unresolved(y, dt):
             return self.implicit_step(t, y, dt)
         return rk4(self, t, y, dt)
@@ -558,35 +597,28 @@ class _Dynamics:
         """The RK4 step of without_direction from (t, y) when the clocks are
         equal and one input wave drives every agent. The system is then
         affine, y' = D y + c + a sin(omega t + phase), and the step is
-        _affine_step at z = [y | 1 | the wave weights
-        dt/6 (s0 + 4 sm + s1), dt^2/6 (s0 + 2 sm), dt^3/12 (s0 + sm),
-        dt^4/24 s0], with s0, sm, s1 the wave at t, t + dt/2 and t + dt.
+        _affine_step at z = [y | 1 | _wave_weights(t, dt)]: four products
+        with D in place of four stage evaluations (Hairer and Wanner,
+        Solving ODEs II, IV.2)."""
+        z = self._step_in
+        z[: self.dim] = y
+        z[self.dim + 1 :] = self._wave_weights(t, dt)
+        return self._affine_step(z, dt)
 
-        The edge form evaluates _affine_step, four products with D. The
-        dense form multiplies by its matrix, the propagator, one
-        matrix-vector product in place of four stage evaluations (Hairer and
-        Wanner, Solving ODEs II, IV.2). The propagator is read off
-        _affine_step on the dim + 5 unit vectors on the first call with a
-        step size, 4-5 ms at N = 6 (2-vCPU x86 VM), once per run.
-        """
-        h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
+    def _wave_weights(self, t: float, dt: float) -> tuple:
+        """The input wave's weights in the affine RK4 step from t,
+        dt/6 (s0 + 4 sm + s1), dt^2/6 (s0 + 2 sm), dt^3/12 (s0 + sm) and
+        dt^4/24 s0, with s0, sm, s1 the wave at t, t + dt/2 and t + dt."""
         s0 = sm = s1 = 0.0
         if self.has_wave:
             s0 = math.sin(self.wave_omega * t + self.wave_phase)
             sm = math.sin(self.wave_omega * (t + 0.5 * dt) + self.wave_phase)
             s1 = math.sin(self.wave_omega * (t + dt) + self.wave_phase)
-        z = self._step_in
-        z[: self.dim] = y
-        z[self.dim + 1 :] = (
+        h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
+        return (
             dt / 6.0 * (s0 + 4.0 * sm + s1), h2 / 6.0 * (s0 + 2.0 * sm),
             h3 / 12.0 * (s0 + sm), h4 / 24.0 * s0,
         )
-        if not self.dense:
-            return self._affine_step(z, dt)
-        if dt != self._prop_dt:
-            self._prop = _matrix_of(lambda unit: self._affine_step(unit, dt), self.dim + 5)
-            self._prop_dt = dt
-        return self._prop.dot(z)
 
     def _affine_step(self, z: np.ndarray, dt: float) -> np.ndarray:
         """_affine_rk4's step as a linear map of z = [y | 1 | k0..k3], the
@@ -662,10 +694,119 @@ class _Dynamics:
         if synced and not self.dense:
             v = self._solve_lagged(f_t, rhs)
         else:
-            v = np.linalg.solve(self._implicit_matrix(f_t, f_h), rhs)
+            v = solve(self._implicit_matrix(f_t, f_h), rhs)
         s_next = y_next[self.sl_s]
         s_next += self._apply_b(v)
         return y_next
+
+    # -- the equal-clock path ------------------------------------------------
+    #
+    # With every clock equal at the start, each clock row of every step adds
+    # the same value, so the clocks stay bitwise equal, the clock couplings
+    # stay zero and the layer eps e^{-phi t} is one value for every edge.
+    # advance then takes each step as a few products with matrices read off
+    # the edge operators: at N = 6 a step's cost is the count of numpy calls.
+
+    def _compile_equal_clocks(self):
+        """The fixed matrices of the equal-clock path.
+
+        The stage map takes [y | w / (||w|| + delta) | 1 | sin(omega t +
+        phase)] to the derivative: out_map's y columns, its z_t and z_h
+        columns summed (z_t = z_h with equal clocks; the clock couplings'
+        columns only ever meet zeros and go), its affine column and the
+        input wave's amplitude. The layer map L takes the edge weights f to
+        the implicit matrix less the identity,
+        vec((D diag(f) D^T) kron (-K B)), kept on the entries some edge
+        reaches (_node_rows); the others stay those of I in the reused
+        matrix _lhs. On a ring of 50 plus 25 chords the full map has 12
+        times the rows. _d_p is D kron I_p."""
+        dim, ep = self.dim, self.n_edges * self.p
+        y_cols, z_t, z_h = self._in_parts[:3]
+        self._stage_map = np.column_stack((
+            self.out_map[:, y_cols], self.out_map[:, z_t] + self.out_map[:, z_h],
+            self.out_map[:, -1], self.in_amp,
+        ))
+        self._synced_in = np.zeros(dim + ep + 2)
+        self._synced_in[dim + ep] = 1.0
+        self._synced_y, self._synced_dir = self._synced_in[:dim], self._synced_in[dim : dim + ep]
+        nodes = self.n_agents * self.p
+        outer = self.d_inc[:, None, :] * self.d_inc[None, :, :]
+        layer_map = np.einsum("ije,ab->iajbe", outer, -self.kb).reshape(nodes * nodes, -1)
+        self._lhs = np.eye(nodes)
+        self._node_rows = np.flatnonzero(layer_map.any(axis=1))
+        self._layer_map = layer_map[self._node_rows]
+        self._eye_rows = self._lhs.reshape(-1)[self._node_rows]
+        self._d_p = np.kron(self.d_inc, np.eye(self.p))
+        self._step_dt = None
+        self._thin_dt, self._thin_from = None, math.inf
+
+    def _synced_rates(self, t: float, y: np.ndarray) -> np.ndarray:
+        """__call__ on the equal-clock path: one product of the stage map
+        with [y | w / (||w|| + delta) | 1 | sin(omega t + phase)], w from
+        the gather's w rows and delta the one layer (_synced_layer)."""
+        w = self.gather_w.dot(y)
+        den = self._norms(w)
+        den += self._synced_layer(y)
+        np.divide(w, self._edge_scale(den), out=self._synced_dir)
+        self._synced_y[...] = y
+        self._synced_in[-1] = math.sin(self.wave_omega * t + self.wave_phase)
+        return self._stage_map.dot(self._synced_in)
+
+    def _layer_thinned(self, y: np.ndarray, dt: float) -> bool:
+        """layer_unresolved on the equal-clock path, evaluated only until it
+        first holds at step dt: the equal clocks run at the base rate and
+        the layer eps e^{-phi t} (phi >= 0) only thins as they advance, so
+        it holds from that clock on."""
+        clock = y[self.sl_c.start]
+        if dt == self._thin_dt and clock >= self._thin_from:
+            return True
+        if self.layer_unresolved(y, dt):
+            self._thin_dt, self._thin_from = dt, clock
+            return True
+        return False
+
+    def _step_matrix(self, dt: float) -> np.ndarray:
+        """[P ; G_w P ; G_w 0] at step dt, to multiply [y | 1 | wave
+        weights]: P the matrix of _affine_step, the propagator, read off it
+        on the dim + 5 unit vectors on the first call with a step size (4-5
+        ms at N = 6, 2-vCPU x86 VM), and G_w the gather's w rows, so that
+        one product gives y*, w(y*) and w(y)."""
+        if dt != self._step_dt:
+            self._step = None  # the old one is let go before the new is built
+            prop = _matrix_of(lambda unit: self._affine_step(unit, dt), self.dim + 5)
+            w_now = np.zeros((self.n_edges * self.p, self.dim + 5))
+            w_now[:, : self.dim] = self.gather_w
+            self._step = np.vstack((prop, self.gather_w @ prop, w_now))
+            self._step_dt = dt
+        return self._step
+
+    def _synced_implicit(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+        """implicit_step on the equal-clock path. One product with
+        _step_matrix gives y*, w* = w(y*) and w = w(y); then
+        f = dt c2 / (||w|| + delta), the right-hand side D (f w*) and the
+        matrix I + L f (_synced_matrix), whose solve v moves s by
+        (I kron B) v."""
+        dim, ep = self.dim, self.n_edges * self.p
+        z = self._step_in
+        z[:dim] = y
+        z[dim + 1 :] = self._wave_weights(t, dt)
+        out = self._step_matrix(dt).dot(z)
+        den = self._norms(out[dim + ep :])
+        den += self._synced_layer(y)
+        f = (dt * self.c2) / den
+        rhs = self._d_p.dot(self._edge_scale(f) * out[dim : dim + ep])
+        v = solve(self._synced_matrix(f), rhs)
+        y_next = out[:dim]
+        y_next[self.sl_s] += self.sb.dot(v)
+        return y_next
+
+    def _synced_matrix(self, f):
+        """The equal-clock implicit matrix I + L f, written into _lhs, which
+        the next call overwrites."""
+        entries = self._layer_map.dot(f)
+        entries += self._eye_rows
+        self._lhs.reshape(-1)[self._node_rows] = entries
+        return self._lhs
 
     def _solve_lagged(self, f, rhs):
         """The equal-clock implicit solve A v = rhs by conjugate gradients,

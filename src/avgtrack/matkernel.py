@@ -1,7 +1,8 @@
 """Dense real-matrix kernel: symmetric eigendecomposition, Lyapunov solves,
 stabilizability test, the continuous algebraic Riccati equation solver used
-by the gain design, and the classical fourth-order Runge-Kutta step that the
-clock-sync pre-phase and the simulation engine both take.
+by the gain design, and the classical fourth-order Runge-Kutta step and the
+small linear solve that the clock-sync pre-phase and the simulation engine
+both take.
 
 Everything here is a pure function of its inputs. The symmetric
 eigendecomposition is LAPACK's (np.linalg.eigh), so it also serves the
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DesignError, NumericalError
 
@@ -160,6 +162,22 @@ def rk4(f, t: float, y: np.ndarray, dt: float, *args) -> np.ndarray:
     k2 *= dt / 6.0
     k2 += y
     return k2
+
+
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a x = b, a float (m, m), b float (m,): LAPACK's LU solve
+    through the gufunc np.linalg.solve calls, so the same bits, without the
+    wrapper's argument checks and error-state switch: on a 6 x 6 system
+    about 2.3 us against 8.1 us (2-vCPU x86 VM, numpy 2.4).
+
+    Its callers pass I plus a positive semidefinite matrix, whose
+    eigenvalues are at least 1, so it is never singular there. Without the
+    wrapper a singular a does not raise LinAlgError: the gufunc warns
+    (RuntimeWarning, invalid value) and returns NaN. A NaN entry gives NaN
+    out silently, as np.linalg.solve does, for the caller's finiteness
+    check to report.
+    """
+    return _umath_linalg.solve1(a, b)
 
 
 def _care_residual(p, a, b, q) -> np.ndarray:

@@ -331,6 +331,21 @@ def affine_rk4_recursion(dyn, t: float, y, dt: float) -> np.ndarray:
     return y + coef.dot(powers)
 
 
+def general_implicit_step(dyn, t: float, y, dt: float) -> np.ndarray:
+    """An equal-clock implicit step of a _Dynamics by the general route:
+    RK4 of without_direction to y*, then implicit_step's node-space system
+    built by _implicit_matrix and solved by np.linalg.solve (LU), its
+    solution v moving s by (I kron B) v."""
+    y_star = rk4(dyn.without_direction, t, y, dt, False)
+    _, _, nrm, _ = dyn._edge_terms(y)
+    inv, _ = dyn._direction_coeffs(y, nrm, True)
+    f = (dt * dyn.c2) * inv
+    edge = (dyn._edge_scale(f) * dyn._gather_w(y_star)).reshape(dyn.n_edges, dyn.p)
+    v = np.linalg.solve(dyn._implicit_matrix(f, f), dyn._scatter(edge, edge).ravel())
+    y_star[dyn.sl_s] += dyn._apply_b(v)
+    return y_star
+
+
 def centering_matrix(n: int) -> np.ndarray:
     """M = I - (1/N) * ones: idempotent projector removing the mean."""
     if n < 1:

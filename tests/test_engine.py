@@ -48,6 +48,7 @@ from oracles import (
     adaptive_control,
     affine_rk4_recursion,
     clock_rates,
+    general_implicit_step,
     implicit_matrix_bincount,
     input_value,
     modified_control,
@@ -1112,15 +1113,16 @@ def ring_static_scenario(channels, clock):
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counts of the np.linalg.inv and np.linalg.solve calls made from here on."""
+    """Counts of the np.linalg.inv calls and of the LU solves, through
+    np.linalg.solve or the engine's matkernel.solve, made from here on."""
     calls = {"inv": 0, "solve": 0}
-    for name in calls:
+    for owner, name in ((np.linalg, "inv"), (np.linalg, "solve"), (engine, "solve")):
 
-        def counted(*args, _name=name, _real=getattr(np.linalg, name)):
+        def counted(*args, _name=name, _real=getattr(owner, name)):
             calls[_name] += 1
             return _real(*args)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -1336,8 +1338,9 @@ def ring_plus_chords(agents, seed):
 class TestStepPieces:
     """The pieces of the implicit step against the forms they replaced:
     the fixed-index matrix against one bincount over each edge's four
-    entries, the propagator against repeated products with the drift and
-    the affine step of both forms against four RK4 stages, and the one
+    entries, the propagator (the P block of the equal-clock path's step
+    matrix) against repeated products with the drift, the affine step of
+    both forms and the P block against four RK4 stages, and the one
     equal-clock layer against the per-agent exponential."""
 
     @pytest.mark.parametrize("agents", range(2, 51))
@@ -1393,12 +1396,20 @@ class TestStepPieces:
     @pytest.mark.parametrize("inputs", ["sine", "constant"])
     def test_propagator_matches_the_recursion(self, demo_gains, inputs):
         dyn, y = self._affine_system(demo_gains, inputs)
-        assert dyn.dense
-        # the propagator is built per step size: change it and change it back
+        assert dyn.equal_clock_path
+        ep = dyn.n_edges * dyn.p
+        # the step matrix is built per step size: change it and change it back
         for t, dt in ((0.7, 1e-3), (3.1, 2.5e-4), (5.9, 1e-3)):
-            got = dyn._affine_rk4(t, y, dt)
+            step = dyn._step_matrix(dt)
+            z = p_block_input(dyn, t, y, dt)
+            got = step[: dyn.dim] @ z
             expected = affine_rk4_recursion(dyn, t, y, dt)
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            # the blocks below it: w at the stepped state and at y
+            w_star, w_now = step[dyn.dim : dyn.dim + ep] @ z, step[dyn.dim + ep :] @ z
+            for w, at in ((w_star, expected), (w_now, y)):
+                w_expected = dyn._gather_w(at)
+                assert np.max(np.abs(w - w_expected)) <= 1e-13 * np.max(np.abs(w_expected))
             y = got
 
     @pytest.mark.parametrize("dense_max_dim", [sys.maxsize, 0], ids=["dense", "edge"])
@@ -1412,13 +1423,16 @@ class TestStepPieces:
         dyn, y = self._affine_system(demo_gains, inputs)
         assert dyn.dense is (dense_max_dim > 0)
         for t, dt in ((0.7, 1e-3), (3.1, 2.5e-4), (5.9, 1e-3)):
-            got = dyn._affine_rk4(t, y, dt)
             expected = rk4(dyn.without_direction, t, y, dt, False)
-            for block in (dyn.sl_s, dyn.sl_r, dyn.sl_c):
-                scale = np.max(np.abs(expected[block]))
-                assert np.max(np.abs(got[block] - expected[block])) <= 1e-13 * scale
-            assert np.array_equal(got[dyn.sl_c.stop :], y[dyn.sl_c.stop :])
-            y = got
+            steps = [dyn._affine_rk4(t, y, dt)]
+            if dyn.dense:
+                steps.append(dyn._step_matrix(dt)[: dyn.dim] @ p_block_input(dyn, t, y, dt))
+            for got in steps:
+                for block in (dyn.sl_s, dyn.sl_r, dyn.sl_c):
+                    scale = np.max(np.abs(expected[block]))
+                    assert np.max(np.abs(got[block] - expected[block])) <= 1e-13 * scale
+                assert np.array_equal(got[dyn.sl_c.stop :], y[dyn.sl_c.stop :])
+            y = steps[0]
 
     @pytest.mark.parametrize("phi", [0.5, 0.0731])
     def test_equal_clock_layer_is_the_per_agent_exponential(self, demo_gains, phi):
@@ -1436,6 +1450,180 @@ class TestStepPieces:
             layer = np.maximum(gains.eps * np.exp(-gains.phi * y[dyn.sl_c]), dyn.layer_floor)
             assert inv_h is inv
             assert np.array_equal(inv, 1.0 / (nrm + layer[dyn.tails]))
+
+
+def p_block_input(dyn, t, y, dt):
+    """[y | 1 | wave weights], the input of the equal-clock step matrix."""
+    return np.concatenate((y, [1.0], dyn._wave_weights(t, dt)))
+
+
+def equal_clock_scenario(channels, inputs, controller, clock, **kw):
+    """The demo graph with one input channel (the demo plant) or two, one
+    input wave (a sine, or constant inputs), random r0 and s0 and every
+    clock at clock."""
+    p = channels
+    if channels == 1:
+        plant, q_mat = demo_plant(), DEMO_Q
+    else:
+        plant, q_mat = Plant(a=[[0.0, 1.0], [-0.5, -1.0]], b=[[1.0, 0.5], [0.0, 1.0]]), np.eye(2)
+    if inputs == "sine":
+        specs = tuple(
+            SinusoidInput(amplitude=((i + 2) / 2.0,) * p, omega=1.3, phase=0.4) for i in range(6)
+        )
+    else:
+        specs = tuple(ConstantInput(value=(0.5 - 0.2 * i,) * p) for i in range(6))
+    fam = InputFamily(specs=specs, input_dim=p)
+    rng = np.random.default_rng(47)
+    defaults = dict(
+        plant=plant,
+        topology=demo_topology(),
+        family=fam,
+        controller=controller,
+        gains=design_gains(plant, demo_topology(), fam, q_mat, eps=5.0, phi=0.5),
+        r0=rng.uniform(-1.0, 1.0, (6, 2)),
+        s0=rng.uniform(-0.5, 0.5, (6, 2)),
+        clocks0=np.full(6, clock),
+        step=1e-3,
+        horizon=0.1,
+        sample_every=1,
+    )
+    defaults.update(kw)
+    return Scenario(**defaults)
+
+
+def switch_clock(sc):
+    """The clock at which the thinnest layer reaches RK4's stability limit."""
+    stiffness = _Dynamics(sc).stiffness
+    return math.log(sc.gains.eps * RK4_STABILITY_LIMIT / (sc.step * stiffness)) / sc.gains.phi
+
+
+EQUAL_CLOCK_SYSTEMS = pytest.mark.parametrize(
+    "channels, inputs, controller",
+    [
+        (channels, inputs, controller)
+        for channels in (1, 2)
+        for inputs in ("sine", "constant")
+        for controller in ("static", "modified")
+    ],
+)
+
+
+class TestEqualClockPath:
+    """With every clock equal at the start of a dense, connected system with
+    one input wave, advance takes each step as a few fixed products: the
+    stage map for RK4 and the step matrix, layer map and LAPACK solve past
+    the switch. Those against the general route, and the invariants they
+    rest on: the clocks stay bitwise equal and the layer only thins."""
+
+    def test_where_the_path_applies(self, demo_gains):
+        adapt = design_adaptive_params(demo_gains, 10.0, 10.0, 0.01, 0.01)
+        mixed = InputFamily(
+            specs=(SinusoidInput(amplitude=(1.0,), omega=1.0),) * 5
+            + (SinusoidInput(amplitude=(1.0,), omega=2.0),),
+            input_dim=1,
+        )
+        split = Topology(vertex_count=6, edges=((0, 1), (1, 2), (3, 4), (4, 5)))
+        assert _Dynamics(demo_static_scenario(demo_gains)).equal_clock_path
+        assert _Dynamics(demo_static_scenario(demo_gains, controller="modified")).equal_clock_path
+        for sc in (
+            demo_static_scenario(demo_gains, discontinuous=True),
+            demo_static_scenario(demo_gains, controller="adaptive", adapt=adapt),
+            demo_static_scenario(dataclasses.replace(demo_gains, eps=0.0)),
+            demo_static_scenario(demo_gains, clocks0=np.linspace(0.0, 0.1, 6)),
+            demo_static_scenario(demo_gains, family=mixed),
+            demo_static_scenario(demo_gains, topology=split),
+        ):
+            assert not _Dynamics(sc).equal_clock_path
+
+    def test_edge_form_keeps_the_general_route(self, demo_gains, edge_form):
+        assert not _Dynamics(demo_static_scenario(demo_gains)).equal_clock_path
+
+    @EQUAL_CLOCK_SYSTEMS
+    @pytest.mark.parametrize("clock", [12.0, 40.0])
+    def test_implicit_step_is_the_general_route(self, channels, inputs, controller, clock):
+        # stated before measuring: every block within 1e-13 of the general
+        # route's, relative to the block's largest entry
+        sc = equal_clock_scenario(channels, inputs, controller, clock)
+        dyn = _Dynamics(sc)
+        assert dyn.equal_clock_path
+        y = start_vector(sc)
+        for k in range(5):
+            t = 0.7 + k * sc.step
+            got = dyn._synced_implicit(t, y, sc.step)
+            expected = general_implicit_step(dyn, t, y, sc.step)
+            for block in (dyn.sl_s, dyn.sl_r, dyn.sl_c):
+                scale = np.max(np.abs(expected[block]))
+                assert np.max(np.abs(got[block] - expected[block])) <= 1e-13 * scale
+            assert np.array_equal(got[dyn.sl_c.stop :], y[dyn.sl_c.stop :])
+            y = got
+
+    @EQUAL_CLOCK_SYSTEMS
+    @pytest.mark.parametrize("clock", [0.0, 40.0])
+    def test_stage_is_the_derivative(self, channels, inputs, controller, clock):
+        sc = equal_clock_scenario(channels, inputs, controller, clock)
+        dyn = _Dynamics(sc)
+        rng = np.random.default_rng(53)
+        y = start_vector(sc)
+        for t in (0.0, 0.7, 3.1):
+            got, expected = dyn._synced_rates(t, y), dyn(t, y)
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+            y = y + rng.uniform(-0.1, 0.1, y.shape) * (np.arange(dyn.dim) < dyn.sl_c.start)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_layer_map_is_the_implicit_matrix(self, channels):
+        dyn = _Dynamics(equal_clock_scenario(channels, "sine", "static", 20.0))
+        rng = np.random.default_rng(channels)
+        # draws through the one reused array: no entry of an earlier one stays
+        for scale in (1e6, 1e-3, 1.0):
+            f = scale * rng.uniform(0.0, 1.0, dyn.n_edges)
+            got = dyn._synced_matrix(f)
+            expected = dyn._implicit_matrix(f, f)
+            assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @EQUAL_CLOCK_SYSTEMS
+    def test_clocks_stay_bitwise_equal_across_the_switch(self, channels, inputs, controller):
+        sc = equal_clock_scenario(channels, inputs, controller, 0.0)
+        sc = dataclasses.replace(sc, clocks0=np.full(6, switch_clock(sc) - 0.05))
+        dyn = _Dynamics(sc)
+        y = start_vector(sc)
+        unresolved = []
+        for k in range(sc.steps):
+            unresolved.append(dyn.layer_unresolved(y, sc.step))
+            # the layer only thins: once unresolved, at every later step too,
+            # and the path's latch agrees with a fresh evaluation
+            assert dyn._layer_thinned(y, sc.step) is unresolved[-1]
+            y = dyn.advance(k * sc.step, y, sc.step)
+            assert np.all(y[dyn.sl_c] == y[dyn.sl_c.start])
+        switch = unresolved.index(True)
+        assert 40 <= switch <= 60
+        assert all(unresolved[switch:])
+        tr = run(sc)
+        assert np.all(tr.clocks == tr.clocks[:, :1])
+
+    def test_latch_reevaluates_at_an_earlier_clock(self, demo_gains):
+        sc = demo_static_scenario(demo_gains, clocks0=np.full(6, 30.0))
+        dyn = _Dynamics(sc)
+        y = start_vector(sc)
+        assert dyn._layer_thinned(y, sc.step)
+        y[dyn.sl_c] = 1.0
+        assert not dyn._layer_thinned(y, sc.step)
+        # another step size is evaluated afresh
+        y[dyn.sl_c] = 30.0
+        assert not dyn._layer_thinned(y, 1e-9)
+
+    @pytest.mark.parametrize("phi", [0.5, 0.0731, 0.0])
+    def test_layer_only_thins_as_the_clocks_advance(self, demo_gains, phi):
+        gains = dataclasses.replace(demo_gains, phi=phi)
+        sc = demo_static_scenario(gains)
+        dyn = _Dynamics(sc)
+        y = start_vector(sc)
+        for dt in (1e-3, 1e-4):
+            unresolved = []
+            for clock in np.linspace(0.0, 120.0, 24001):
+                y[dyn.sl_c] = clock
+                unresolved.append(dyn.layer_unresolved(y, dt))
+            first = unresolved.index(True) if True in unresolved else len(unresolved)
+            assert not any(unresolved[:first]) and all(unresolved[first:])
 
 
 class TestScaling:

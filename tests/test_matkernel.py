@@ -1,18 +1,22 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_are
 
-from conftest import DEMO_CONFIG
+from conftest import DEMO_CONFIG, STATIC_CONFIG
 from oracles import pbh_rank_real
 
+from avgtrack import clocksync, engine
+from avgtrack.cli import ScenarioBundle, load_config
 from avgtrack.errors import DesignError, NumericalError
 from avgtrack.matkernel import (
     Eigen,
     as_matrix,
     is_hurwitz,
     is_stabilizable,
+    solve,
     solve_care,
     solve_lyapunov,
     sym_eigen,
@@ -277,6 +281,65 @@ class TestSolveCare:
         resid = np.linalg.norm(p @ a + a.T @ p - p @ b @ b.T @ p + q)
         assert resid < 1e-8
         assert is_hurwitz(a - b @ b.T @ p)
+
+
+class TestSolve:
+    """matkernel.solve is np.linalg.solve's LAPACK gufunc without its
+    wrapper: the same bits wherever the wrapper would not raise."""
+
+    @pytest.mark.parametrize("n", range(1, 51))
+    def test_bitwise_np_linalg_solve(self, n):
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=n)
+        general = rng.normal(size=(n, n))
+        for a in (general, general @ general.T + np.eye(n)):
+            assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
+
+    def test_bitwise_on_the_shipped_static_scenarios_systems(self, monkeypatch):
+        # the systems the sync pre-phase and the equal-clock implicit step
+        # of the shipped static scenario solve, recorded as they are passed
+        systems = []
+
+        def recorded(a, b):
+            systems.append((a.copy(), b.copy()))
+            return solve(a, b)
+
+        monkeypatch.setattr(clocksync, "solve", recorded)
+        monkeypatch.setattr(engine, "solve", recorded)
+        bundle = ScenarioBundle(load_config(STATIC_CONFIG))
+        sync = clocksync.run_sync(bundle.topology, bundle.sync_offsets, step=bundle.sync_step)
+        synced = len(systems)
+        gains, adapt = bundle.design()
+        sc = bundle.scenario(gains, adapt, horizon=0.05, clocks0=np.full(6, 20.0))
+        engine.run(sc)
+        assert synced == sync.clocks.shape[0] - 1 > 1000
+        assert len(systems) - synced == 50
+        for a, b in systems:
+            assert np.array_equal(solve(a, b), np.linalg.solve(a, b))
+
+    def test_nan_in_gives_nan_out_silently(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 6)) + 6.0 * np.eye(6)
+        b = rng.normal(size=6)
+        for where in ((0, 0), (2, 4), (5, 5)):
+            bad = a.copy()
+            bad[where] = np.nan
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = solve(bad, b)
+            assert np.isnan(got).any()
+            assert np.array_equal(got, np.linalg.solve(bad, b), equal_nan=True)
+        b[3] = np.nan
+        assert np.isnan(solve(a, b)).any()
+
+    def test_singular_warns_and_returns_nan(self):
+        # np.linalg.solve raises here; the gufunc alone warns and returns NaN
+        a = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, np.ones(2))
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            got = solve(a, np.ones(2))
+        assert np.all(np.isnan(got))
 
 
 def test_eigen_is_frozen():
