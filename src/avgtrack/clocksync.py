@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Topology
+from .graph import Topology, is_connected, lambda2
 from .matkernel import rk4, solve
 
 ATTRACTING = "attracting"
@@ -141,8 +141,23 @@ class SyncPlan:
         return self.steps * self.step
 
 
+def settling_bound(topology: Topology, clocks) -> float:
+    """Time within which the continuous attracting law settles from these
+    clocks on a connected graph: with V = |t - mean(t)|^2 / 2,
+    dV/dt = -sum_e |t_i - t_j|^(3/2), which is at most -(t^T L t)^(3/4)
+    <= -(2 lambda2 V)^(3/4), so V^(1/4) falls at rate (2 lambda2)^(3/4) / 4
+    or faster and the bound is 4 V0^(1/4) / (2 lambda2)^(3/4). Two agents
+    attain it. 0 where it does not apply: on agreeing clocks, and on a
+    disconnected graph, where the law need not settle."""
+    times = np.asarray(clocks, dtype=float)
+    v0 = 0.5 * float(np.sum((times - times.mean()) ** 2))
+    if v0 == 0.0 or not is_connected(topology):
+        return 0.0
+    return 4.0 * v0**0.25 / (2.0 * lambda2(topology)) ** 0.75
+
+
 def plan_sync(
-    vertex_count: int,
+    topology: Topology,
     initial,
     convention: str = ATTRACTING,
     tol: float = DEFAULT_TOL,
@@ -152,20 +167,22 @@ def plan_sync(
     """Checks run_sync's arguments and fixes its length: ValueError for a
     tol or step that is not positive and finite, a horizon that is not
     nonnegative and finite, bad clocks or convention, or a clock count other
-    than vertex_count. The horizon defaults to max(1, 4 sqrt(max(spread,
-    tol))), a generous multiple of the worst-offset settling estimate, and is
-    rounded to whole steps."""
+    than the topology's vertex count. The horizon defaults to
+    max(1, 4 sqrt(max(spread, tol)), settling_bound), the first two a
+    generous multiple of the two-agent settling time, which on long paths
+    the settling bound exceeds, and is rounded to whole steps."""
     for name, value in (("tol", tol), ("step", step)):
         if not 0.0 < value < np.inf:  # NaN fails too
             raise ValueError(f"{name} must be positive and finite, got {value}")
     if horizon is not None and not 0.0 <= horizon < np.inf:
         raise ValueError(f"horizon must be nonnegative and finite, got {horizon}")
     state = ClockState(times=initial, convention=convention)
-    if state.times.shape[0] != vertex_count:
+    if state.times.shape[0] != topology.vertex_count:
         raise ValueError("initial clock vector and topology disagree on the agent count")
     if horizon is None:
-        # two-agent closed form settles at sqrt(offset); scale up for safety
-        horizon = max(1.0, 4.0 * np.sqrt(max(state.spread, tol)))
+        horizon = max(
+            1.0, 4.0 * np.sqrt(max(state.spread, tol)), settling_bound(topology, state.times)
+        )
     return SyncPlan(state=state, step=step, steps=int(round(horizon / step)))
 
 
@@ -231,7 +248,7 @@ def run_sync(
     ``handover`` is the common clock at the horizon either way.
     """
     n = topology.vertex_count
-    plan = plan_sync(n, initial, convention, tol, step, horizon)
+    plan = plan_sync(topology, initial, convention, tol, step, horizon)
     times0, steps = plan.state.times, plan.steps
     attracting = convention == ATTRACTING
     if attracting:

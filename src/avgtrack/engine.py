@@ -58,19 +58,22 @@ matrix is written at fixed indices into one reused array.
 
 The dense form with every clock equal at the start, on a connected graph
 with one input wave and the continuous direction term, takes the
-equal-clock path of advance: each step is a few products with matrices
-read off the edge operators once. An RK4 stage is one product with the
-stage map. An implicit step is one product with [P ; G_w P ; G_w 0], P the
-matrix of _affine_step (the propagator) and G_w the gather's w rows, then
-the node matrix I + L f from a fixed map L of the edge weights, and LAPACK's
-LU solve without numpy's wrapper (matkernel.solve). The clocks then stay
-bitwise equal and the layer only thins, so neither is checked per step
-once the layer is unresolved. On the shipped static system (N = 6, one
-BLAS thread, 2-vCPU x86 VM shared with other load; six alternating pairs
+equal-clock path (equalclock.EqualClockLoop): one loop that owns its
+buffers and steps a whole sample interval per call, each step a few
+products with matrices read off the edge operators once. An RK4 stage is
+one product with the stage map and one more combines the four slopes; an
+implicit step is one product with [P ; G_w P ; G_w 0], P the propagator
+and G_w the gather's w rows, one with the map of the edge weights to the
+node matrix I + L f and the right-hand side, and LAPACK's LU solve without
+numpy's wrapper (matkernel.solve). The clocks then stay bitwise equal and
+the layer is one Python float a step. run keeps each sample as one row of
+the state and computes the path's sampled controls after the loop, one
+product per block of samples. On the shipped static system (N = 6, one
+BLAS thread, 2-vCPU x86 VM shared with other load; three alternating pairs
 of processes, best of five 2000-step runs each) an implicit step took
-14-26 us against 27-46 us by the general route, and an RK4 step 31-57 us
-against 52-91 us. At the dense limit (dim = 300, N = 50 or 60) both routes
-take 100-160 us an implicit step.
+7.2-8.4 us in the loop and 9.6-11.0 us as one call of advance, and an
+RK4 step 17.0-17.5 us and 19.6-20.2 us, against 11.5-12.9 us and
+24.1-24.9 us when each step was its own chain of calls.
 """
 
 from __future__ import annotations
@@ -84,22 +87,28 @@ from .clocksync import ATTRACTING, clock_law, clock_spread, coupling_sign, edge_
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
 from .graph import Topology, incidence, is_connected, laplacian
-from .matkernel import is_hurwitz, rk4, solve
+from .matkernel import RK4_STABILITY_LIMIT, is_hurwitz, matrix_of, rk4, solve, wave_weights
 from .signals import InputFamily, Plant
 
 _CONTROLLERS = ("static", "modified", "adaptive")
-
-# Classical RK4 keeps a decaying real mode lambda decaying only while
-# h |lambda| stays inside its real stability interval, about [-2.785, 0].
-RK4_STABILITY_LIMIT = 2.785
 
 # Largest state dimension compiled to the dense fused map. Up to it one
 # evaluation of the right-hand side is a single matrix-vector product, which
 # at small N costs less than the string of small numpy calls of the
 # edge-indexed form. Above it the map's dim^2 entries are almost all zero
 # and the edge-indexed form, whose cost and memory grow with N + E, is used.
-# Per RK4 or implicit step the two forms cost the same near dim = 300 (ring
-# plus N/2 chords, n = 2, p = 1, one BLAS thread on a 2-vCPU x86 VM).
+# Per step, dense against edge form (static law on a ring plus N/2 chords,
+# p = 1, one BLAS thread, 2-vCPU x86 VM shared with other load; best of
+# five 400-step runs, two runs of the script):
+#   unequal clocks (the general route): dim = 240 (N = 30, n = 2) RK4
+#     137-141 us against 214-216 us, implicit 124-125 against 147-148 us;
+#     dim = 300 (N = 50, n = 1) RK4 203-231 against 213-232 us, implicit
+#     148-153 against 163-169 us: about the same near dim = 300.
+#   equal clocks (the dense form's equal-clock loop): dim = 240 RK4 86-98
+#     against 170-177 us, implicit 29-38 against 146-151 us; dim = 300 RK4
+#     161-167 against 168-172 us, implicit 56-59 against 148-157 us.
+# So for equal clocks the crossover lies above 300. The limit stays: the
+# dense form's memory grows as dim^2 and no workload runs near it.
 DENSE_MAX_DIM = 300
 
 # Floor of the boundary layer eps e^{-phi t}, relative to c2 rho(K B). The
@@ -115,12 +124,6 @@ LAYER_FLOOR = 1e-12
 # preconditioner past ITERATIVE_CAP iterations.
 ITERATIVE_RTOL = 1e-13
 ITERATIVE_CAP = 8
-
-
-def _matrix_of(linear_map, n_in: int) -> np.ndarray:
-    """The matrix of a linear map on R^n_in, column by column from its
-    values on the unit vectors."""
-    return np.stack([linear_map(unit) for unit in np.eye(n_in)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -290,9 +293,9 @@ class _Dynamics:
         # over to it.
         self._gather, self._rates = self._gather_edges, self._rates_edges
         if dim <= DENSE_MAX_DIM:
-            self.gather = _matrix_of(self._gather_edges, dim)
-            self.out_map = _matrix_of(self._rates_edges, self._stacked.size)
-            self.sb = _matrix_of(self._apply_b, n_agents * p)
+            self.gather = matrix_of(self._gather_edges, dim)
+            self.out_map = matrix_of(self._rates_edges, self._stacked.size)
+            self.sb = matrix_of(self._apply_b, n_agents * p)
             self.d_inc = incidence(topo)
             self.d_plus = np.maximum(self.d_inc, 0.0)
             self.d_minus = self.d_plus - self.d_inc
@@ -330,8 +333,7 @@ class _Dynamics:
                 self._eye = np.eye(n_agents * p)
             # _solve_lagged's preconditioner and last solution
             self._precond = self._solution = None
-            # [y | 1 | wave weights], the input of _affine_step and of the
-            # equal-clock path's step matrix
+            # [y | 1 | wave weights], the input of _affine_step
             self._step_in = np.zeros(dim + 5)
             self._step_in[dim] = 1.0
             # Rows 0-3: D^j (D y + c) for the step at hand; rows 4-7: D^j a,
@@ -350,8 +352,12 @@ class _Dynamics:
             self.dense and self.connected and self.uniform_wave and self.stiffness > 0.0
             and self.eps > 0.0 and np.all(sc.clocks0 == sc.clocks0[0])
         )
+        self.loop = None
         if self.equal_clock_path:
-            self._compile_equal_clocks()
+            # imported here, so that a run off the path does not compile it
+            from .equalclock import EqualClockLoop
+
+            self.loop = EqualClockLoop(self)
 
     # -- operator primitives ---------------------------------------------------
     #
@@ -404,11 +410,11 @@ class _Dynamics:
         return w, dclk, self._norms(w), dx
 
     def _norms(self, w):
-        """Per-edge norms ||w_e|| of flat edge inputs w (E*p,), (E,)."""
+        """Per-edge norms ||w_e|| of flat edge inputs w (..., E*p), (..., E)."""
         if self.single_channel:
             return np.abs(w)
-        w2 = w.reshape(self.n_edges, self.p)
-        return np.sqrt((w2 * w2).sum(axis=1))
+        w2 = w.reshape(*w.shape[:-1], self.n_edges, self.p)
+        return np.sqrt((w2 * w2).sum(axis=-1))
 
     def _gather_w(self, y):
         """The edge inputs w = K (x_tail - x_head) alone, flat (E*p,)."""
@@ -556,17 +562,15 @@ class _Dynamics:
         """One step of the stacked system from (t, y): classical
         fourth-order Runge-Kutta while it resolves the boundary layer, and
         implicit_step past that (see layer_unresolved). On the equal-clock
-        path the step is _synced_rates' RK4 or _synced_implicit, which read
-        every clock off the first: along a trajectory from the scenario's
-        equal start they stay bitwise equal.
+        path the step is the loop's (equalclock.EqualClockLoop.steps), which
+        reads every clock off the first: along a trajectory from the
+        scenario's equal start they stay bitwise equal.
 
         The implicit step above the dense limit with equal clocks keeps
         state between calls, so one _Dynamics serves one trajectory (see
         implicit_step)."""
         if self.equal_clock_path:
-            if self._layer_thinned(y, dt):
-                return self._synced_implicit(t, y, dt)
-            return rk4(self._synced_rates, t, y, dt)
+            return self.loop.steps(y, (t,), dt).copy()
         if self.layer_unresolved(y, dt):
             return self.implicit_step(t, y, dt)
         return rk4(self, t, y, dt)
@@ -606,19 +610,14 @@ class _Dynamics:
         return self._affine_step(z, dt)
 
     def _wave_weights(self, t: float, dt: float) -> tuple:
-        """The input wave's weights in the affine RK4 step from t,
-        dt/6 (s0 + 4 sm + s1), dt^2/6 (s0 + 2 sm), dt^3/12 (s0 + sm) and
-        dt^4/24 s0, with s0, sm, s1 the wave at t, t + dt/2 and t + dt."""
+        """The input wave's weights in the affine RK4 step from t
+        (matkernel.wave_weights), from the wave at t, t + dt/2 and t + dt."""
         s0 = sm = s1 = 0.0
         if self.has_wave:
             s0 = math.sin(self.wave_omega * t + self.wave_phase)
             sm = math.sin(self.wave_omega * (t + 0.5 * dt) + self.wave_phase)
             s1 = math.sin(self.wave_omega * (t + dt) + self.wave_phase)
-        h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
-        return (
-            dt / 6.0 * (s0 + 4.0 * sm + s1), h2 / 6.0 * (s0 + 2.0 * sm),
-            h3 / 12.0 * (s0 + sm), h4 / 24.0 * s0,
-        )
+        return wave_weights(dt, s0, sm, s1)
 
     def _affine_step(self, z: np.ndarray, dt: float) -> np.ndarray:
         """_affine_rk4's step as a linear map of z = [y | 1 | k0..k3], the
@@ -698,115 +697,6 @@ class _Dynamics:
         s_next = y_next[self.sl_s]
         s_next += self._apply_b(v)
         return y_next
-
-    # -- the equal-clock path ------------------------------------------------
-    #
-    # With every clock equal at the start, each clock row of every step adds
-    # the same value, so the clocks stay bitwise equal, the clock couplings
-    # stay zero and the layer eps e^{-phi t} is one value for every edge.
-    # advance then takes each step as a few products with matrices read off
-    # the edge operators: at N = 6 a step's cost is the count of numpy calls.
-
-    def _compile_equal_clocks(self):
-        """The fixed matrices of the equal-clock path.
-
-        The stage map takes [y | w / (||w|| + delta) | 1 | sin(omega t +
-        phase)] to the derivative: out_map's y columns, its z_t and z_h
-        columns summed (z_t = z_h with equal clocks; the clock couplings'
-        columns only ever meet zeros and go), its affine column and the
-        input wave's amplitude. The layer map L takes the edge weights f to
-        the implicit matrix less the identity,
-        vec((D diag(f) D^T) kron (-K B)), kept on the entries some edge
-        reaches (_node_rows); the others stay those of I in the reused
-        matrix _lhs. On a ring of 50 plus 25 chords the full map has 12
-        times the rows. _d_p is D kron I_p."""
-        dim, ep = self.dim, self.n_edges * self.p
-        y_cols, z_t, z_h = self._in_parts[:3]
-        self._stage_map = np.column_stack((
-            self.out_map[:, y_cols], self.out_map[:, z_t] + self.out_map[:, z_h],
-            self.out_map[:, -1], self.in_amp,
-        ))
-        self._synced_in = np.zeros(dim + ep + 2)
-        self._synced_in[dim + ep] = 1.0
-        self._synced_y, self._synced_dir = self._synced_in[:dim], self._synced_in[dim : dim + ep]
-        nodes = self.n_agents * self.p
-        outer = self.d_inc[:, None, :] * self.d_inc[None, :, :]
-        layer_map = np.einsum("ije,ab->iajbe", outer, -self.kb).reshape(nodes * nodes, -1)
-        self._lhs = np.eye(nodes)
-        self._node_rows = np.flatnonzero(layer_map.any(axis=1))
-        self._layer_map = layer_map[self._node_rows]
-        self._eye_rows = self._lhs.reshape(-1)[self._node_rows]
-        self._d_p = np.kron(self.d_inc, np.eye(self.p))
-        self._step_dt = None
-        self._thin_dt, self._thin_from = None, math.inf
-
-    def _synced_rates(self, t: float, y: np.ndarray) -> np.ndarray:
-        """__call__ on the equal-clock path: one product of the stage map
-        with [y | w / (||w|| + delta) | 1 | sin(omega t + phase)], w from
-        the gather's w rows and delta the one layer (_synced_layer)."""
-        w = self.gather_w.dot(y)
-        den = self._norms(w)
-        den += self._synced_layer(y)
-        np.divide(w, self._edge_scale(den), out=self._synced_dir)
-        self._synced_y[...] = y
-        self._synced_in[-1] = math.sin(self.wave_omega * t + self.wave_phase)
-        return self._stage_map.dot(self._synced_in)
-
-    def _layer_thinned(self, y: np.ndarray, dt: float) -> bool:
-        """layer_unresolved on the equal-clock path, evaluated only until it
-        first holds at step dt: the equal clocks run at the base rate and
-        the layer eps e^{-phi t} (phi >= 0) only thins as they advance, so
-        it holds from that clock on."""
-        clock = y[self.sl_c.start]
-        if dt == self._thin_dt and clock >= self._thin_from:
-            return True
-        if self.layer_unresolved(y, dt):
-            self._thin_dt, self._thin_from = dt, clock
-            return True
-        return False
-
-    def _step_matrix(self, dt: float) -> np.ndarray:
-        """[P ; G_w P ; G_w 0] at step dt, to multiply [y | 1 | wave
-        weights]: P the matrix of _affine_step, the propagator, read off it
-        on the dim + 5 unit vectors on the first call with a step size (4-5
-        ms at N = 6, 2-vCPU x86 VM), and G_w the gather's w rows, so that
-        one product gives y*, w(y*) and w(y)."""
-        if dt != self._step_dt:
-            self._step = None  # the old one is let go before the new is built
-            prop = _matrix_of(lambda unit: self._affine_step(unit, dt), self.dim + 5)
-            w_now = np.zeros((self.n_edges * self.p, self.dim + 5))
-            w_now[:, : self.dim] = self.gather_w
-            self._step = np.vstack((prop, self.gather_w @ prop, w_now))
-            self._step_dt = dt
-        return self._step
-
-    def _synced_implicit(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-        """implicit_step on the equal-clock path. One product with
-        _step_matrix gives y*, w* = w(y*) and w = w(y); then
-        f = dt c2 / (||w|| + delta), the right-hand side D (f w*) and the
-        matrix I + L f (_synced_matrix), whose solve v moves s by
-        (I kron B) v."""
-        dim, ep = self.dim, self.n_edges * self.p
-        z = self._step_in
-        z[:dim] = y
-        z[dim + 1 :] = self._wave_weights(t, dt)
-        out = self._step_matrix(dt).dot(z)
-        den = self._norms(out[dim + ep :])
-        den += self._synced_layer(y)
-        f = (dt * self.c2) / den
-        rhs = self._d_p.dot(self._edge_scale(f) * out[dim : dim + ep])
-        v = solve(self._synced_matrix(f), rhs)
-        y_next = out[:dim]
-        y_next[self.sl_s] += self.sb.dot(v)
-        return y_next
-
-    def _synced_matrix(self, f):
-        """The equal-clock implicit matrix I + L f, written into _lhs, which
-        the next call overwrites."""
-        entries = self._layer_map.dot(f)
-        entries += self._eye_rows
-        self._lhs.reshape(-1)[self._node_rows] = entries
-        return self._lhs
 
     def _solve_lagged(self, f, rhs):
         """The equal-clock implicit solve A v = rhs by conjugate gradients,
@@ -970,41 +860,42 @@ def run(scenario: Scenario) -> Trace:
 
     dyn = _Dynamics(scenario)
     n_agents, n, p = dyn.n_agents, dyn.n, dyn.p
-    n_edges = dyn.n_edges
     n_samples = steps // scenario.sample_every + 1
+    synced = dyn.equal_clock_path
 
     times = np.empty(n_samples)
-    s_out = np.empty((n_samples, n_agents, n))
-    r_out = np.empty((n_samples, n_agents, n))
-    c_out = np.empty((n_samples, n_agents))
-    a_out = np.empty((n_samples, n_edges))
-    b_out = np.empty((n_samples, n_edges))
-    u_out = np.empty((n_samples, n_agents, p))
+    rows = np.empty((n_samples, dyn.dim))  # one sampled state a row
+    u_out = np.empty((n_samples, n_agents * p))
 
     # the layout of _Dynamics, the adaptive gains starting at zero
     y = np.concatenate(
-        (scenario.s0.ravel(), scenario.r0.ravel(), scenario.clocks0, np.zeros(2 * n_edges))
+        (scenario.s0.ravel(), scenario.r0.ravel(), scenario.clocks0, np.zeros(2 * dyn.n_edges))
     )
     dt = scenario.step
-    sample_every = scenario.sample_every
+    every = scenario.sample_every
 
     # Non-finite values are sticky through every term of the dynamics, so
-    # checking at sample instants still catches any blow-up.
-    sample = 0
-    for k in range(steps + 1):
+    # checking at sample instants still catches any blow-up; a sum is finite
+    # when every entry is, and _check_finite looks closer when it is not.
+    for sample in range(n_samples):
+        k = sample * every
+        if sample and synced:
+            y = dyn.loop.steps(y, (j * dt for j in range(k - every, k)), dt)
+        elif sample:
+            for j in range(k - every, k):
+                y = dyn.advance(j * dt, y, dt)
         t = k * dt
-        if k % sample_every == 0:
+        if not math.isfinite(y.sum()):
             _check_finite(dyn, y, t)
-            times[sample] = t
-            s_out[sample] = y[dyn.sl_s].reshape(n_agents, n)
-            r_out[sample] = y[dyn.sl_r].reshape(n_agents, n)
-            c_out[sample] = y[dyn.sl_c]
-            a_out[sample] = y[dyn.sl_a]
-            b_out[sample] = y[dyn.sl_b]
-            u_out[sample] = dyn.controls(t, y)
-            sample += 1
-        if k < steps:
-            y = dyn.advance(t, y, dt)
+        times[sample] = t
+        rows[sample] = y
+        if not synced:
+            u_out[sample] = dyn.controls(t, y).ravel()
+    if synced:
+        dyn.loop.controls(rows, u_out)
+    s_out = rows[:, dyn.sl_s].reshape(n_samples, n_agents, n)
+    r_out = rows[:, dyn.sl_r].reshape(n_samples, n_agents, n)
+    c_out, a_out, b_out = rows[:, dyn.sl_c], rows[:, dyn.sl_a], rows[:, dyn.sl_b]
 
     gains, adapt = scenario.gains, scenario.adapt
     xi, xi_norm = consensus_error(s_out + r_out)
@@ -1023,7 +914,7 @@ def run(scenario: Scenario) -> Trace:
         clocks=c_out,
         alpha=a_out,
         beta=b_out,
-        u=u_out,
+        u=u_out.reshape(n_samples, n_agents, p),
         xi=xi,
         xi_norm=xi_norm,
         v1=v1,

@@ -1,8 +1,9 @@
 """Dense real-matrix kernel: symmetric eigendecomposition, Lyapunov solves,
 stabilizability test, the continuous algebraic Riccati equation solver used
-by the gain design, and the classical fourth-order Runge-Kutta step and the
-small linear solve that the clock-sync pre-phase and the simulation engine
-both take.
+by the gain design, the classical fourth-order Runge-Kutta step (and the
+input wave's weights in an affine one), the small linear solve that the
+clock-sync pre-phase and the simulation engine both take, and the matrix of
+a linear map read off its unit vectors.
 
 Everything here is a pure function of its inputs. The symmetric
 eigendecomposition is LAPACK's (np.linalg.eigh), so it also serves the
@@ -23,6 +24,10 @@ from .errors import DesignError, NumericalError
 # Rank decisions treat singular values below RANK_RTOL * sigma_max as zero.
 RANK_RTOL = 1e-10
 
+# Classical RK4 keeps a decaying real mode lambda decaying only while
+# h |lambda| stays inside its real stability interval, about [-2.785, 0].
+RK4_STABILITY_LIMIT = 2.785
+
 _SYMMETRY_RTOL = 1e-12
 
 
@@ -38,6 +43,12 @@ def as_matrix(values, rows: int | None = None, cols: int | None = None) -> np.nd
     if cols is not None and m.shape[1] != cols:
         raise ValueError(f"expected {cols} columns, got {m.shape[1]}")
     return m
+
+
+def matrix_of(linear_map, n_in: int) -> np.ndarray:
+    """The matrix of a linear map on R^n_in, column by column from its
+    values on the unit vectors."""
+    return np.stack([linear_map(unit) for unit in np.eye(n_in)], axis=1)
 
 
 def _require_symmetric(s: np.ndarray, what: str) -> np.ndarray:
@@ -162,6 +173,18 @@ def rk4(f, t: float, y: np.ndarray, dt: float, *args) -> np.ndarray:
     k2 *= dt / 6.0
     k2 += y
     return k2
+
+
+def wave_weights(dt: float, s0: float, sm: float, s1: float) -> tuple:
+    """The input wave's weights in the affine RK4 step of size dt,
+    dt/6 (s0 + 4 sm + s1), dt^2/6 (s0 + 2 sm), dt^3/12 (s0 + sm) and
+    dt^4/24 s0, with s0, sm, s1 the wave at the step's start, middle and
+    end: linear in (s0, sm, s1)."""
+    h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
+    return (
+        dt / 6.0 * (s0 + 4.0 * sm + s1), h2 / 6.0 * (s0 + 2.0 * sm),
+        h3 / 12.0 * (s0 + sm), h4 / 24.0 * s0,
+    )
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

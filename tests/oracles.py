@@ -17,7 +17,7 @@ import numpy as np
 
 from avgtrack.clocksync import DEAD_BAND, ClockState, clock_law, clock_spread, coupling_sign
 from avgtrack.controllers import AdaptiveParams, GainSet
-from avgtrack.graph import Topology
+from avgtrack.graph import Topology, laplacian
 from avgtrack.matkernel import RANK_RTOL, as_matrix, rk4
 from avgtrack.signals import InputFamily, Plant
 
@@ -195,9 +195,15 @@ def pbh_rank_real(a, b, sigma_re: float, omega_im: float) -> int:
     return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
-def _sync_steps(clk: np.ndarray, tol: float, step: float, horizon: float | None) -> int:
-    if horizon is None:  # the default of run_sync
-        horizon = max(1.0, 4.0 * np.sqrt(max(float(clock_spread(clk)), tol)))
+def _sync_steps(topology: Topology, clk: np.ndarray, tol: float, step: float,
+                horizon: float | None) -> int:
+    if horizon is None:  # the default of run_sync, lambda2 from eigvalsh
+        v0 = 0.5 * float(np.sum((clk - clk.mean()) ** 2))
+        bound = 0.0
+        if v0 > 0.0:
+            lam2 = np.linalg.eigvalsh(laplacian(topology))[1]
+            bound = 4.0 * v0**0.25 / (2.0 * lam2) ** 0.75
+        horizon = max(1.0, 4.0 * np.sqrt(max(float(clock_spread(clk)), tol)), bound)
     return int(round(horizon / step))
 
 
@@ -208,7 +214,7 @@ def full_horizon_sync(topology: Topology, initial, convention: str, tol: float, 
     clk = np.asarray(initial, dtype=float)
     sigma = coupling_sign(convention)
     sources, targets = topology.arcs()
-    steps = _sync_steps(clk, tol, step, horizon)
+    steps = _sync_steps(topology, clk, tol, step, horizon)
     clocks = np.empty((steps + 1, clk.shape[0]))
     clocks[0] = clk
     for k in range(steps):
@@ -226,7 +232,7 @@ def full_horizon_implicit_sync(topology: Topology, initial, tol: float, step: fl
     (I + L_g) t+ = t + step. The horizon defaults as in run_sync."""
     clk = np.asarray(initial, dtype=float)
     n = clk.shape[0]
-    steps = _sync_steps(clk, tol, step, horizon)
+    steps = _sync_steps(topology, clk, tol, step, horizon)
     clocks = np.empty((steps + 1, n))
     clocks[0] = clk
     for k in range(steps):

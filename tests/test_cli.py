@@ -15,6 +15,7 @@ from avgtrack.cli import (
     main,
     validate_config,
 )
+from avgtrack.clocksync import plan_sync, settling_bound
 from avgtrack.engine import run
 from avgtrack.errors import ConfigError, NumericalError
 
@@ -431,6 +432,32 @@ class TestSyncHandOver:
         assert info["final_spread"] == 5.252549228895731e-10
         assert clocks0.shape == (6,)
         assert np.all(clocks0 == 1.2016666666666667)
+
+    def test_shipped_sync_horizon_is_the_two_agent_estimate(self):
+        # the settling bound of the shipped offsets is shorter than
+        # 4 sqrt(spread) = 1.2 s, so the hand-over above keeps its horizon
+        bundle = ScenarioBundle(load_config(STATIC_CONFIG))
+        offsets = bundle.sync_offsets
+        plan = plan_sync(bundle.topology, offsets, tol=bundle.sync_tol, step=bundle.sync_step)
+        assert plan.steps == 12000
+        assert settling_bound(bundle.topology, offsets) < 4.0 * np.sqrt(np.ptp(offsets)) == 1.2
+
+    def test_long_path_settles_within_the_default_horizon(self, tmp_path):
+        # a 10-agent path settles at about 7.06 s, past the two-agent
+        # estimate 4 sqrt(spread) = 4 s and within the settling bound 11.48 s
+        agents = 10
+        doc = tiny_config(
+            topology={"vertices": agents, "edges": [[i, i + 1] for i in range(agents - 1)]},
+            initial={"r": "seeded", "s": "zero", "clocks": "zero"},
+            clock_sync={
+                "enabled": True, "initial_offsets": list(np.linspace(-0.5, 0.5, agents)),
+                "tol": 1e-6, "step": 1e-3,
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(write_config(tmp_path, doc)), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert 4.0 < summary["clock_sync"]["settled_at"] < 11.48
 
 
 def assert_no_child_left():

@@ -131,7 +131,7 @@ class TestPlanSync:
         ids=["shipped", "seeded", "zero", "paper-literal", "explicit-horizon"],
     )
     def test_handover_is_run_syncs(self, offsets, convention, tol, step, horizon):
-        plan = plan_sync(6, offsets, convention, tol, step, horizon)
+        plan = plan_sync(demo_topology(), offsets, convention, tol, step, horizon)
         result = run_sync(demo_topology(), offsets, convention, tol, step, horizon)
         assert plan.horizon == result.horizon
         assert result.handover == float(plan.state.times.mean() + plan.horizon)
@@ -161,8 +161,9 @@ class TestPlanSync:
     def test_checks_run_syncs_arguments(
         self, count, offsets, convention, tol, step, horizon, match
     ):
+        path = Topology(vertex_count=count, edges=tuple((i, i + 1) for i in range(count - 1)))
         with pytest.raises(ValueError, match=match):
-            plan_sync(count, offsets, convention, tol, step, horizon)
+            plan_sync(path, offsets, convention, tol, step, horizon)
 
 
 class TestRunSync:

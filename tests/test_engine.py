@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from avgtrack import engine
+from avgtrack import engine, equalclock
 from avgtrack.clocksync import (
     ATTRACTING,
     DEAD_BAND,
@@ -1114,9 +1114,12 @@ def ring_static_scenario(channels, clock):
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Counts of the np.linalg.inv calls and of the LU solves, through
-    np.linalg.solve or the engine's matkernel.solve, made from here on."""
+    np.linalg.solve or matkernel.solve in the engine or its equal-clock
+    loop, made from here on."""
     calls = {"inv": 0, "solve": 0}
-    for owner, name in ((np.linalg, "inv"), (np.linalg, "solve"), (engine, "solve")):
+    for owner, name in (
+        (np.linalg, "inv"), (np.linalg, "solve"), (engine, "solve"), (equalclock, "solve"),
+    ):
 
         def counted(*args, _name=name, _real=getattr(owner, name)):
             calls[_name] += 1
@@ -1400,7 +1403,7 @@ class TestStepPieces:
         ep = dyn.n_edges * dyn.p
         # the step matrix is built per step size: change it and change it back
         for t, dt in ((0.7, 1e-3), (3.1, 2.5e-4), (5.9, 1e-3)):
-            step = dyn._step_matrix(dt)
+            step = dyn.loop.step_matrix(dt)
             z = p_block_input(dyn, t, y, dt)
             got = step[: dyn.dim] @ z
             expected = affine_rk4_recursion(dyn, t, y, dt)
@@ -1426,7 +1429,7 @@ class TestStepPieces:
             expected = rk4(dyn.without_direction, t, y, dt, False)
             steps = [dyn._affine_rk4(t, y, dt)]
             if dyn.dense:
-                steps.append(dyn._step_matrix(dt)[: dyn.dim] @ p_block_input(dyn, t, y, dt))
+                steps.append(dyn.loop.step_matrix(dt)[: dyn.dim] @ p_block_input(dyn, t, y, dt))
             for got in steps:
                 for block in (dyn.sl_s, dyn.sl_r, dyn.sl_c):
                     scale = np.max(np.abs(expected[block]))
@@ -1453,8 +1456,10 @@ class TestStepPieces:
 
 
 def p_block_input(dyn, t, y, dt):
-    """[y | 1 | wave weights], the input of the equal-clock step matrix."""
-    return np.concatenate((y, [1.0], dyn._wave_weights(t, dt)))
+    """[y | 1 | s0 | sm | s1], the input of the equal-clock step matrix: the
+    input wave at the step's start, middle and end."""
+    waves = [math.sin(dyn.wave_omega * at + dyn.wave_phase) for at in (t, t + 0.5 * dt, t + dt)]
+    return np.concatenate((y, [1.0], waves))
 
 
 def equal_clock_scenario(channels, inputs, controller, clock, **kw):
@@ -1510,10 +1515,12 @@ EQUAL_CLOCK_SYSTEMS = pytest.mark.parametrize(
 
 class TestEqualClockPath:
     """With every clock equal at the start of a dense, connected system with
-    one input wave, advance takes each step as a few fixed products: the
-    stage map for RK4 and the step matrix, layer map and LAPACK solve past
-    the switch. Those against the general route, and the invariants they
-    rest on: the clocks stay bitwise equal and the layer only thins."""
+    one input wave, advance and run step through one loop, EqualClockLoop,
+    that takes each step as a few fixed products: the stage map for RK4 and
+    the step matrix, implicit map and LAPACK solve past the switch; run
+    then computes the sampled controls in blocks. Those against the general
+    route, and the invariants of the path: the clocks stay bitwise equal and
+    the layer only thins."""
 
     def test_where_the_path_applies(self, demo_gains):
         adapt = design_adaptive_params(demo_gains, 10.0, 10.0, 0.01, 0.01)
@@ -1549,7 +1556,8 @@ class TestEqualClockPath:
         y = start_vector(sc)
         for k in range(5):
             t = 0.7 + k * sc.step
-            got = dyn._synced_implicit(t, y, sc.step)
+            assert dyn.layer_unresolved(y, sc.step)
+            got = dyn.advance(t, y, sc.step)
             expected = general_implicit_step(dyn, t, y, sc.step)
             for block in (dyn.sl_s, dyn.sl_r, dyn.sl_c):
                 scale = np.max(np.abs(expected[block]))
@@ -1558,41 +1566,84 @@ class TestEqualClockPath:
             y = got
 
     @EQUAL_CLOCK_SYSTEMS
+    def test_rk4_step_is_the_general_route(self, channels, inputs, controller):
+        # stated before measuring: every block within 1e-14 of RK4 of the
+        # derivative, relative to the block's largest entry; clocks bitwise
+        sc = equal_clock_scenario(channels, inputs, controller, 0.0)
+        dyn = _Dynamics(sc)
+        y = start_vector(sc)
+        for k in range(5):
+            t = 0.7 + k * sc.step
+            assert not dyn.layer_unresolved(y, sc.step)
+            got = dyn.advance(t, y, sc.step)
+            expected = rk4(dyn, t, y, sc.step)
+            for block in (dyn.sl_s, dyn.sl_r):
+                scale = np.max(np.abs(expected[block]))
+                assert np.max(np.abs(got[block] - expected[block])) <= 1e-14 * scale
+            assert np.array_equal(got[dyn.sl_c.start :], expected[dyn.sl_c.start :])
+            y = got
+
+    @EQUAL_CLOCK_SYSTEMS
     @pytest.mark.parametrize("clock", [0.0, 40.0])
     def test_stage_is_the_derivative(self, channels, inputs, controller, clock):
+        # the stage map's rows: the derivative, then its edge inputs G_w y'
         sc = equal_clock_scenario(channels, inputs, controller, clock)
         dyn = _Dynamics(sc)
         rng = np.random.default_rng(53)
         y = start_vector(sc)
         for t in (0.0, 0.7, 3.1):
-            got, expected = dyn._synced_rates(t, y), dyn(t, y)
+            w = dyn._gather_w(y)
+            den = np.repeat(dyn._norms(w) + dyn._synced_layer(y), dyn.p)
+            wave = math.sin(dyn.wave_omega * t + dyn.wave_phase)
+            stage = np.concatenate((y, w, w / den, [1.0, wave]))
+            got, expected = dyn.loop.stage_map @ stage, dyn(t, y)
+            expected = np.concatenate((expected, dyn._gather_w(expected)))
             assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
             y = y + rng.uniform(-0.1, 0.1, y.shape) * (np.arange(dyn.dim) < dyn.sl_c.start)
 
     @pytest.mark.parametrize("channels", [1, 2])
     def test_layer_map_is_the_implicit_matrix(self, channels):
+        # the implicit map's rows: the matrix's entries some edge reaches,
+        # written into I, then the right-hand side (D kron I_p)(f w*)
         dyn = _Dynamics(equal_clock_scenario(channels, "sine", "static", 20.0))
         rng = np.random.default_rng(channels)
-        # draws through the one reused array: no entry of an earlier one stays
+        reached = dyn.loop.node_rows.size
         for scale in (1e6, 1e-3, 1.0):
             f = scale * rng.uniform(0.0, 1.0, dyn.n_edges)
-            got = dyn._synced_matrix(f)
+            w_star = rng.uniform(-1.0, 1.0, dyn.n_edges * dyn.p)
+            f_w = np.repeat(f, dyn.p) * w_star
+            out = dyn.loop.implicit_map @ np.concatenate((f, f_w, [1.0]))
+            got = np.eye(dyn.n_agents * dyn.p)
+            got.reshape(-1)[dyn.loop.node_rows] = out[:reached]
             expected = dyn._implicit_matrix(f, f)
             assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
+            edge = f_w.reshape(dyn.n_edges, dyn.p)
+            rhs = dyn._scatter(edge, edge).ravel()
+            assert np.max(np.abs(out[reached:] - rhs)) <= 1e-15 * np.max(np.abs(rhs))
 
     @EQUAL_CLOCK_SYSTEMS
-    def test_clocks_stay_bitwise_equal_across_the_switch(self, channels, inputs, controller):
+    def test_clocks_stay_bitwise_equal_across_the_switch(
+        self, monkeypatch, channels, inputs, controller
+    ):
         sc = equal_clock_scenario(channels, inputs, controller, 0.0)
         sc = dataclasses.replace(sc, clocks0=np.full(6, switch_clock(sc) - 0.05))
         dyn = _Dynamics(sc)
+        solves = []
+
+        def counted(a, b):
+            solves.append(1)
+            return np.linalg.solve(a, b)
+
+        monkeypatch.setattr(equalclock, "solve", counted)
         y = start_vector(sc)
         unresolved = []
         for k in range(sc.steps):
             unresolved.append(dyn.layer_unresolved(y, sc.step))
-            # the layer only thins: once unresolved, at every later step too,
-            # and the path's latch agrees with a fresh evaluation
-            assert dyn._layer_thinned(y, sc.step) is unresolved[-1]
+            # the loop takes the implicit step exactly where the layer is
+            # unresolved
+            count = len(solves)
             y = dyn.advance(k * sc.step, y, sc.step)
+            assert len(solves) - count == unresolved[-1]
             assert np.all(y[dyn.sl_c] == y[dyn.sl_c.start])
         switch = unresolved.index(True)
         assert 40 <= switch <= 60
@@ -1600,16 +1651,54 @@ class TestEqualClockPath:
         tr = run(sc)
         assert np.all(tr.clocks == tr.clocks[:, :1])
 
-    def test_latch_reevaluates_at_an_earlier_clock(self, demo_gains):
-        sc = demo_static_scenario(demo_gains, clocks0=np.full(6, 30.0))
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("controller", ["static", "modified"])
+    def test_sampled_controls_are_controls(self, channels, controller):
+        # stated before measuring: each sample's controls within 1e-12 of
+        # controls() at the sampled state, relative to that sample's largest
+        sc = equal_clock_scenario(channels, "sine", controller, 0.0, sample_every=2)
+        sc = dataclasses.replace(
+            sc, clocks0=np.full(6, switch_clock(sc) - 0.3), horizon=0.6,
+        )
         dyn = _Dynamics(sc)
-        y = start_vector(sc)
-        assert dyn._layer_thinned(y, sc.step)
-        y[dyn.sl_c] = 1.0
-        assert not dyn._layer_thinned(y, sc.step)
-        # another step size is evaluated afresh
-        y[dyn.sl_c] = 30.0
-        assert not dyn._layer_thinned(y, 1e-9)
+        assert equalclock.CONTROL_BLOCK < sc.steps // sc.sample_every + 1
+        tr = run(sc)
+        for k, t in enumerate(tr.times):
+            y = pack_state(tr.s[k], tr.r[k], tr.clocks[k], tr.alpha[k], tr.beta[k])
+            expected = dyn.controls(t, y)
+            assert np.max(np.abs(tr.u[k] - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("controller", ["static", "modified"])
+    def test_blowup_reports_component_and_sample_time(self, controller):
+        # an unstable plant on the path, through both kinds of step: the
+        # error names an s or r component and the first sample that is not
+        # finite, so a run one sample shorter ends without it
+        rng = np.random.default_rng(61)
+        sc = Scenario(
+            plant=Plant(a=[[100.0]], b=[[1.0]]),
+            topology=demo_topology(),
+            family=InputFamily(specs=(SinusoidInput(amplitude=(1.0,)),) * 6, input_dim=1),
+            controller=controller,
+            gains=dummy_gains(k=[[-1.0]], c1=1.0, c2=1.0, eps=1.0, phi=1.0, agents=6),
+            r0=rng.uniform(-1.0, 1.0, (6, 1)),
+            s0=rng.uniform(-1.0, 1.0, (6, 1)) if controller == "modified" else None,
+            step=1e-2,
+            horizon=20.0,
+            sample_every=10,
+        )
+        dyn = _Dynamics(sc)
+        assert dyn.equal_clock_path
+        assert not dyn.layer_unresolved(start_vector(sc), sc.step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"in (s|r)\[\d,0\] by t = ") as err:
+                run(sc)
+            at = float(str(err.value).rsplit("= ", 1)[1])
+            samples = round(at / 0.1)
+            assert at == samples * 10 * sc.step
+            short = run(dataclasses.replace(sc, horizon=(samples - 1) * 0.1))
+        assert np.all(np.isfinite(short.x))
+        y = pack_state(short.s[-1], short.r[-1], short.clocks[-1], short.alpha[-1], short.beta[-1])
+        assert dyn.layer_unresolved(y, sc.step)
 
     @pytest.mark.parametrize("phi", [0.5, 0.0731, 0.0])
     def test_layer_only_thins_as_the_clocks_advance(self, demo_gains, phi):

@@ -8,7 +8,7 @@ from scipy.linalg import expm, solve_continuous_are
 from conftest import DEMO_CONFIG, STATIC_CONFIG
 from oracles import pbh_rank_real
 
-from avgtrack import clocksync, engine
+from avgtrack import clocksync, engine, equalclock
 from avgtrack.cli import ScenarioBundle, load_config
 from avgtrack.errors import DesignError, NumericalError
 from avgtrack.matkernel import (
@@ -306,6 +306,7 @@ class TestSolve:
 
         monkeypatch.setattr(clocksync, "solve", recorded)
         monkeypatch.setattr(engine, "solve", recorded)
+        monkeypatch.setattr(equalclock, "solve", recorded)
         bundle = ScenarioBundle(load_config(STATIC_CONFIG))
         sync = clocksync.run_sync(bundle.topology, bundle.sync_offsets, step=bundle.sync_step)
         synced = len(systems)

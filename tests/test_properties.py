@@ -16,10 +16,10 @@ from oracles import start_vector
 from test_matkernel import random_stabilizable
 
 from avgtrack import engine
-from avgtrack.clocksync import DEFAULT_TOL, clock_spread, run_sync
+from avgtrack.clocksync import DEFAULT_TOL, clock_spread, run_sync, settling_bound
 from avgtrack.controllers import design_gains
 from avgtrack.engine import RK4_STABILITY_LIMIT, Scenario, _Dynamics, run
-from avgtrack.graph import Topology, lambda2
+from avgtrack.graph import Topology
 from avgtrack.signals import ConstantInput, InputFamily, Plant, SinusoidInput
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -51,22 +51,13 @@ def graphs_with_offsets(draw):
     return topology, np.array(offsets)
 
 
-def settling_bound(topology: Topology, offsets: np.ndarray) -> float:
-    """Settling time of the continuous attracting law from these offsets, at
-    most: with V = |t - mean(t)|^2 / 2, dV/dt = -sum_e |t_i - t_j|^(3/2),
-    which is at most -(t^T L t)^(3/4) <= -(2 lambda2 V)^(3/4), so V^(1/4)
-    falls at rate (2 lambda2)^(3/4) / 4 or faster."""
-    v0 = 0.5 * float(np.sum((offsets - offsets.mean()) ** 2))
-    return 4.0 * v0**0.25 / (2.0 * lambda2(topology)) ** 0.75
-
-
 @PROFILE
 @given(graphs_with_offsets(), st.sampled_from([1e-2, 1e-3]))
 def test_sync_contracts_keeps_its_mean_rate_and_settles(system, step):
     # The horizon is the continuous law's settling bound plus 20 steps: the
     # two-agent closed form (bound attained) settles about 9 steps late at
-    # first order. run_sync's default horizon, a two-agent estimate, is
-    # shorter than the settling time on long paths.
+    # first order. run_sync's default horizon covers the bound, and for two
+    # agents four times it.
     topology, offsets = system
     horizon = settling_bound(topology, offsets) + 20.0 * step
     result = run_sync(topology, offsets, step=step, horizon=horizon)
