@@ -49,11 +49,11 @@ ms against 33 ms at N = 1000. The dense form and unequal clocks keep LU.
 
 At small N a step's cost is the number of numpy calls, not arithmetic, so
 the step keeps that number low where the system allows. The fused map's
-input is written through fixed views of one array. With equal clocks and
-one input wave "everything else" is an affine system whose RK4 step is a
-polynomial in the drift, written once as a linear map (_affine_step, four
-products with the drift; Hairer and Wanner, Solving ODEs II, IV.2), and the
-layer eps e^{-phi t} is one value for every edge. The implicit step's node
+input is written through fixed views of one array. With equal clocks the
+layer eps e^{-phi t} is one value for every edge, and with one input wave
+as well "everything else" is affine in the state, the affine column and
+the wave; its RK4 step is matkernel.rk4 of without_direction on every
+route, the equal-clock path's matrix included. The implicit step's node
 matrix is written at fixed indices into one reused array.
 
 The dense form with every clock equal at the start, on a connected graph
@@ -62,10 +62,11 @@ equal-clock path (equalclock.EqualClockLoop): one loop that owns its
 buffers and steps a whole sample interval per call, each step a few
 products with matrices read off the edge operators once. An RK4 stage is
 one product with the stage map and one more combines the four slopes; an
-implicit step is one product with [P ; G_w P ; G_w 0], P the propagator
-and G_w the gather's w rows, one with the map of the edge weights to the
-node matrix I + L f and the right-hand side, and LAPACK's LU solve without
-numpy's wrapper (matkernel.solve). The clocks then stay bitwise equal and
+implicit step is one product with [P ; G_w P ; G_w 0], P the matrix of
+one matkernel.rk4 step without the direction term and G_w the gather's w
+rows, one with the map of the edge weights to the node matrix I + L f and
+the right-hand side, and LAPACK's LU solve without numpy's wrapper
+(matkernel.solve). The clocks then stay bitwise equal and
 the layer is one Python float a step. run keeps each sample as one row of
 the state and computes the path's sampled controls after the loop, one
 product per block of samples. On the shipped static system (N = 6, one
@@ -87,7 +88,7 @@ from .clocksync import ATTRACTING, clock_law, clock_spread, coupling_sign, edge_
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
 from .graph import Topology, incidence, is_connected, laplacian
-from .matkernel import RK4_STABILITY_LIMIT, is_hurwitz, matrix_of, rk4, solve, wave_weights
+from .matkernel import RK4_STABILITY_LIMIT, is_hurwitz, matrix_of, rk4, solve
 from .signals import InputFamily, Plant
 
 _CONTROLLERS = ("static", "modified", "adaptive")
@@ -333,17 +334,6 @@ class _Dynamics:
                 self._eye = np.eye(n_agents * p)
             # _solve_lagged's preconditioner and last solution
             self._precond = self._solution = None
-            # [y | 1 | wave weights], the input of _affine_step
-            self._step_in = np.zeros(dim + 5)
-            self._step_in[dim] = 1.0
-            # Rows 0-3: D^j (D y + c) for the step at hand; rows 4-7: D^j a,
-            # with D the drift, c the affine column and a the input wave's
-            # amplitude (see _affine_step).
-            self._powers = np.zeros((8, dim))
-            if self.has_wave:
-                self._powers[4] = self.in_amp
-                for j in range(5, 8):
-                    self._linear(self._powers[j - 1], self._powers[j])
 
         # The equal-clock path of advance: the dense form, every clock equal
         # at the start of a connected graph, one input wave, and the
@@ -597,56 +587,14 @@ class _Dynamics:
             ydot[self.sl_c] = clock_law(t, y[self.sl_c], self.sigma, *self.arcs)
         return self._add_inputs(t, ydot)
 
-    def _affine_rk4(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-        """The RK4 step of without_direction from (t, y) when the clocks are
-        equal and one input wave drives every agent. The system is then
-        affine, y' = D y + c + a sin(omega t + phase), and the step is
-        _affine_step at z = [y | 1 | _wave_weights(t, dt)]: four products
-        with D in place of four stage evaluations (Hairer and Wanner,
-        Solving ODEs II, IV.2)."""
-        z = self._step_in
-        z[: self.dim] = y
-        z[self.dim + 1 :] = self._wave_weights(t, dt)
-        return self._affine_step(z, dt)
-
-    def _wave_weights(self, t: float, dt: float) -> tuple:
-        """The input wave's weights in the affine RK4 step from t
-        (matkernel.wave_weights), from the wave at t, t + dt/2 and t + dt."""
-        s0 = sm = s1 = 0.0
-        if self.has_wave:
-            s0 = math.sin(self.wave_omega * t + self.wave_phase)
-            sm = math.sin(self.wave_omega * (t + 0.5 * dt) + self.wave_phase)
-            s1 = math.sin(self.wave_omega * (t + dt) + self.wave_phase)
-        return wave_weights(dt, s0, sm, s1)
-
-    def _affine_step(self, z: np.ndarray, dt: float) -> np.ndarray:
-        """_affine_rk4's step as a linear map of z = [y | 1 | k0..k3], the
-        polynomial in the drift D
-
-            y + sum_{j=1..4} dt^j / j! D^{j-1} (D y + c) + sum_j k_j D^j a,
-
-        c the affine column and a the wave's amplitude, formed by repeated
-        products with D (D^j a is kept in rows 4-7 of _powers)."""
-        dim = self.dim
-        y = z[:dim]
-        powers = self._powers
-        self._linear(y, powers[0])
-        powers[0] += z[dim] * self.const
-        for j in range(1, 4):
-            self._linear(powers[j - 1], powers[j])
-        h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
-        coef = np.array([dt, h2 / 2.0, h3 / 6.0, h4 / 24.0, *z[dim + 1 :]])
-        return y + coef.dot(powers)
-
     def implicit_step(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
         """One step from (t, y) once RK4 no longer resolves the layer.
 
-        RK4 advances everything but the c2-weighted direction term to y*:
-        with equal clocks and one input wave that system is affine and the
-        step is _affine_rk4's polynomial, otherwise four stages of
-        without_direction. The direction term then takes one linearly
-        implicit Euler step with each edge's denominator
-        ||w_e|| + eps e^{-phi t} frozen at y. With
+        RK4 (matkernel.rk4 of without_direction) advances everything but
+        the c2-weighted direction term to y*; equal clocks run at the base
+        rate 1 and stay equal through every stage, so they need no coupling.
+        The direction term then takes one linearly implicit Euler step with
+        each edge's denominator ||w_e|| + eps e^{-phi t} frozen at y. With
         f = dt c2 / denominator at the tail and head clocks and
         W = Dp diag(f_t) - Dm diag(f_h), the term adds (I kron B) v to s,
         where v = (W kron I_p) w(x* + (I kron B) v) and w(x) = (D^T kron K) x
@@ -677,12 +625,7 @@ class _Dynamics:
         _, dclk, nrm, _ = self._edge_terms(y)
         synced = not np.count_nonzero(dclk)
         inv_t, inv_h = self._direction_coeffs(y, nrm, synced)
-        # equal clocks run at the base rate 1 and stay equal through every
-        # RK4 stage, so they need no coupling
-        if synced and self.uniform_wave:
-            y_next = self._affine_rk4(t, y, dt)
-        else:
-            y_next = rk4(self.without_direction, t, y, dt, not synced)
+        y_next = rk4(self.without_direction, t, y, dt, not synced)
 
         f_t = (dt * self.c2) * inv_t
         f_h = f_t if synced else (dt * self.c2) * inv_h
@@ -705,18 +648,21 @@ class _Dynamics:
         call's solution and is preconditioned with the inverse of an earlier
         call's matrix, which from one step to the next differs only in f.
         Past ITERATIVE_CAP iterations short of ITERATIVE_RTOL ||rhs||, on a
-        breakdown, or on the first call, it refreshes: the inverse of this
-        call's matrix gives the answer, with one step of iterative
-        refinement, and becomes the preconditioner (Hairer and Wanner,
-        Solving ODEs II, IV.8; Saad, Iterative Methods for Sparse Linear
-        Systems, 2003, ch. 9). Over 500 steps on a ring of 200 plus 100
-        chords, starting from the last solution takes 6.3 iterations a solve
-        and 3 refreshes where starting from zero takes 7.6 and 4."""
+        breakdown, on the first call, or where ||rhs||^2 overflows, it
+        refreshes: the inverse of this call's matrix gives the answer, with
+        one step of iterative refinement, and becomes the preconditioner
+        (Hairer and Wanner, Solving ODEs II, IV.8; Saad, Iterative Methods
+        for Sparse Linear Systems, 2003, ch. 9). Over 500 steps on a ring of
+        200 plus 100 chords, starting from the last solution takes 6.3
+        iterations a solve and 3 refreshes where starting from zero takes
+        7.6 and 4."""
         precond = self._precond
-        if precond is not None:
+        tol2 = ITERATIVE_RTOL * ITERATIVE_RTOL * rhs.dot(rhs)
+        # past ||rhs|| of about 1e154 tol2 overflows, and so would the
+        # iteration's inner products: refresh
+        if precond is not None and tol2 < math.inf:
             v = self._solution.copy()
             res = rhs - self._implicit_product(v, f)
-            tol2 = ITERATIVE_RTOL * ITERATIVE_RTOL * rhs.dot(rhs)
             if res.dot(res) <= tol2:
                 return v
             d = z = precond.dot(res)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .matkernel import RK4_STABILITY_LIMIT, matrix_of, solve, wave_weights
+from .matkernel import RK4_STABILITY_LIMIT, matrix_of, rk4, solve
 
 # Samples per product of the sampled controls (EqualClockLoop.controls): all
 # 3001 samples of the shipped static run at once raised the process's peak
@@ -52,7 +52,8 @@ class EqualClockLoop:
         self.omega, self.phase = dyn.wave_omega, dyn.wave_phase
         self.stiffness, self.c2, self.single = dyn.stiffness, dyn.c2, dyn.single_channel
         self.gather_w = dyn.gather_w
-        self._affine_step, self._norms = dyn._affine_step, dyn._norms
+        self._linear, self._const, self._amp = dyn._linear, dyn.const, dyn.in_amp
+        self._norms = dyn._norms
 
         y_cols, z_t, z_h = dyn._in_parts[:3]
         out_map = dyn.out_map
@@ -124,9 +125,9 @@ class EqualClockLoop:
         w = w(y); f = dt c2 / (||w|| + delta) and f w*, written into
         [f | f w* | 1]; one product of the implicit map with that, giving
         I + L f (scattered into lhs) and the right-hand side D (f w*);
-        LAPACK's solve for v; and y = y* + (I kron B) v. The clocks advance
-        by the bits the products give them: dt from the step matrix, and
-        6 (dt / 6) from the RK4 slopes, as matkernel.rk4 sums them."""
+        LAPACK's solve for v; and y = y* + (I kron B) v. Either step adds
+        6 (dt / 6) to the clocks, the bits matkernel.rk4 gives them: the
+        step matrix's clock rows hold it, and the RK4 branch writes it."""
         state, clocks, z = self.state, self.clocks, self.state_in
         if y is not state:
             state[...] = y
@@ -176,7 +177,7 @@ class EqualClockLoop:
                 lhs_flat[node_rows] = entries
                 np.dot(b_rows, solve(lhs, rhs), out=state_b)
                 np.add(y_star, state_b, out=state)
-                clock += dt
+                clock += rk4_clock
                 continue
             mid = max(eps * math.exp(-phi * (clock + half)), floor)
             end = max(eps * math.exp(-phi * (clock + dt)), floor)
@@ -224,18 +225,29 @@ class EqualClockLoop:
 
     def step_matrix(self, dt: float) -> np.ndarray:
         """[P ; G_w P ; G_w 0] at step dt, to multiply [y | 1 | s0 | sm |
-        s1]: P the matrix of the dynamics' _affine_step, the propagator, its
-        wave weights' columns taken through wave_weights to the wave at the
-        step's start, middle and end, read off it on the unit vectors on the
-        first call with a step size (4-5 ms at N = 6, 2-vCPU x86 VM), and
-        G_w the gather's w rows, so that one product gives y*, w(y*) and
-        w(y)."""
+        s1], s0, sm and s1 the input wave at the step's start, middle and
+        end. P is the matrix of one matkernel.rk4 step of
+        y' = D y + c const + s(tau) a as a linear map of [y | c | s0 | sm |
+        s1], D the drift, const the affine column, a the wave's amplitude
+        and s(tau) the wave at rk4's stage times: at c = 1 the dynamics'
+        without_direction with equal clocks. It is read off on the unit
+        vectors on the first call with a step size. G_w is the gather's w
+        rows, so that one product gives y*, w(y*) and w(y)."""
         if dt != self._step_dt:
             self._step = None  # the old one is let go before the new is built
-            dim = self.dim
-            prop = matrix_of(lambda unit: self._affine_step(unit, dt), dim + 5)
-            weights = np.array([wave_weights(dt, *unit) for unit in np.eye(3)]).T
-            prop = np.hstack((prop[:, : dim + 1], prop[:, dim + 1 :] @ weights))
+            dim, linear, const, amp = self.dim, self._linear, self._const, self._amp
+
+            def affine(tau, y, scale, wave):
+                ydot = linear(y, np.empty(dim))
+                ydot += scale * const
+                ydot += wave[tau] * amp
+                return ydot
+
+            def step(z):
+                wave = dict(zip((0.0, 0.5 * dt, dt), z[dim + 1 :]))
+                return rk4(affine, 0.0, z[:dim], dt, z[dim], wave)
+
+            prop = matrix_of(step, dim + 4)
             w_now = np.zeros((self.n_edges * self.p, dim + 4))
             w_now[:, :dim] = self.gather_w
             self._step = np.vstack((prop, self.gather_w @ prop, w_now))

@@ -1,9 +1,8 @@
 """Dense real-matrix kernel: symmetric eigendecomposition, Lyapunov solves,
 stabilizability test, the continuous algebraic Riccati equation solver used
-by the gain design, the classical fourth-order Runge-Kutta step (and the
-input wave's weights in an affine one), the small linear solve that the
-clock-sync pre-phase and the simulation engine both take, and the matrix of
-a linear map read off its unit vectors.
+by the gain design, the classical fourth-order Runge-Kutta step, the
+small linear solve that the clock-sync pre-phase and the simulation engine
+both take, and the matrix of a linear map read off its unit vectors.
 
 Everything here is a pure function of its inputs. The symmetric
 eigendecomposition is LAPACK's (np.linalg.eigh), so it also serves the
@@ -173,18 +172,6 @@ def rk4(f, t: float, y: np.ndarray, dt: float, *args) -> np.ndarray:
     k2 *= dt / 6.0
     k2 += y
     return k2
-
-
-def wave_weights(dt: float, s0: float, sm: float, s1: float) -> tuple:
-    """The input wave's weights in the affine RK4 step of size dt,
-    dt/6 (s0 + 4 sm + s1), dt^2/6 (s0 + 2 sm), dt^3/12 (s0 + sm) and
-    dt^4/24 s0, with s0, sm, s1 the wave at the step's start, middle and
-    end: linear in (s0, sm, s1)."""
-    h2, h3, h4 = dt * dt, dt * dt * dt, dt * dt * dt * dt
-    return (
-        dt / 6.0 * (s0 + 4.0 * sm + s1), h2 / 6.0 * (s0 + 2.0 * sm),
-        h3 / 12.0 * (s0 + sm), h4 / 24.0 * s0,
-    )
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

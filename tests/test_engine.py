@@ -1256,6 +1256,22 @@ class TestLaggedImplicitSolve:
         assert np.array_equal(again, first)
         assert linalg_calls["inv"] == 1
 
+    def test_right_hand_side_whose_square_overflows(self, edge_form):
+        # past ||rhs|| of about 1.3e154 the stop test's ||rhs||^2 overflows;
+        # a warmed solve still meets a scaled residual of 1e-12
+        sc = ring_static_scenario(1, clock=0.0)
+        dyn = _Dynamics(sc)
+        rng = np.random.default_rng(7)
+        f = rng.uniform(0.0, 1.0, dyn.n_edges)
+        rhs = rng.uniform(-1.0, 1.0, dyn.n_agents)
+        dyn._solve_lagged(f, rhs)
+        scale = 1e160
+        with np.errstate(over="ignore"):
+            v = dyn._solve_lagged(f, scale * rhs)
+        lhs = implicit_matrix_bincount(sc.topology, dyn.kb, f, f)
+        residual = (lhs @ v - scale * rhs) / scale
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
+
     def test_unequal_clocks_keep_the_direct_solve(self, edge_form, linalg_calls):
         offsets = np.linspace(0.0, 0.2, 30)
         sc = ring_static_scenario(1, clock=20.0)
@@ -1342,9 +1358,9 @@ class TestStepPieces:
     """The pieces of the implicit step against the forms they replaced:
     the fixed-index matrix against one bincount over each edge's four
     entries, the propagator (the P block of the equal-clock path's step
-    matrix) against repeated products with the drift, the affine step of
-    both forms and the P block against four RK4 stages, and the one
-    equal-clock layer against the per-agent exponential."""
+    matrix) against repeated products with the drift and against four RK4
+    stages of without_direction, and the one equal-clock layer against the
+    per-agent exponential."""
 
     @pytest.mark.parametrize("agents", range(2, 51))
     def test_fixed_index_matrix_is_the_bincount_build(self, agents):
@@ -1415,27 +1431,20 @@ class TestStepPieces:
                 assert np.max(np.abs(w - w_expected)) <= 1e-13 * np.max(np.abs(w_expected))
             y = got
 
-    @pytest.mark.parametrize("dense_max_dim", [sys.maxsize, 0], ids=["dense", "edge"])
     @pytest.mark.parametrize("inputs", ["sine", "constant"])
-    def test_affine_step_is_rk4_of_without_direction(
-        self, demo_gains, monkeypatch, inputs, dense_max_dim
-    ):
-        # an oracle apart from the polynomial: four stage evaluations of the
-        # derivative without its direction term, every block of the state
-        monkeypatch.setattr(engine, "DENSE_MAX_DIM", dense_max_dim)
+    def test_step_matrix_is_rk4_of_without_direction(self, demo_gains, inputs):
+        # the P block against four stage evaluations of the derivative
+        # without its direction term, every block of the state
         dyn, y = self._affine_system(demo_gains, inputs)
-        assert dyn.dense is (dense_max_dim > 0)
+        assert dyn.dense
         for t, dt in ((0.7, 1e-3), (3.1, 2.5e-4), (5.9, 1e-3)):
             expected = rk4(dyn.without_direction, t, y, dt, False)
-            steps = [dyn._affine_rk4(t, y, dt)]
-            if dyn.dense:
-                steps.append(dyn.loop.step_matrix(dt)[: dyn.dim] @ p_block_input(dyn, t, y, dt))
-            for got in steps:
-                for block in (dyn.sl_s, dyn.sl_r, dyn.sl_c):
-                    scale = np.max(np.abs(expected[block]))
-                    assert np.max(np.abs(got[block] - expected[block])) <= 1e-13 * scale
-                assert np.array_equal(got[dyn.sl_c.stop :], y[dyn.sl_c.stop :])
-            y = steps[0]
+            got = dyn.loop.step_matrix(dt)[: dyn.dim] @ p_block_input(dyn, t, y, dt)
+            for block in (dyn.sl_s, dyn.sl_r, dyn.sl_c):
+                scale = np.max(np.abs(expected[block]))
+                assert np.max(np.abs(got[block] - expected[block])) <= 1e-13 * scale
+            assert np.array_equal(got[dyn.sl_c.stop :], y[dyn.sl_c.stop :])
+            y = expected
 
     @pytest.mark.parametrize("phi", [0.5, 0.0731])
     def test_equal_clock_layer_is_the_per_agent_exponential(self, demo_gains, phi):
@@ -1621,13 +1630,22 @@ class TestEqualClockPath:
             rhs = dyn._scatter(edge, edge).ravel()
             assert np.max(np.abs(out[reached:] - rhs)) <= 1e-15 * np.max(np.abs(rhs))
 
+    # 6 (dt / 6), what an RK4 step adds to a clock, is dt at the shipped step
+    # and one unit in the last place short of it at 9.5e-4
+    @pytest.mark.parametrize("step", [1e-3, 9.5e-4])
     @EQUAL_CLOCK_SYSTEMS
     def test_clocks_stay_bitwise_equal_across_the_switch(
-        self, monkeypatch, channels, inputs, controller
+        self, monkeypatch, channels, inputs, controller, step
     ):
-        sc = equal_clock_scenario(channels, inputs, controller, 0.0)
-        sc = dataclasses.replace(sc, clocks0=np.full(6, switch_clock(sc) - 0.05))
+        sc = equal_clock_scenario(channels, inputs, controller, 0.0, step=step)
+        sc = dataclasses.replace(
+            sc, clocks0=np.full(6, switch_clock(sc) - 0.05), horizon=100 * step
+        )
         dyn = _Dynamics(sc)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "DENSE_MAX_DIM", 0)
+            edge = _Dynamics(sc)
+        assert dyn.equal_clock_path and not edge.dense
         solves = []
 
         def counted(a, b):
@@ -1635,21 +1653,53 @@ class TestEqualClockPath:
             return np.linalg.solve(a, b)
 
         monkeypatch.setattr(equalclock, "solve", counted)
-        y = start_vector(sc)
+        y = y_edge = start_vector(sc)
         unresolved = []
         for k in range(sc.steps):
-            unresolved.append(dyn.layer_unresolved(y, sc.step))
+            unresolved.append(dyn.layer_unresolved(y, step))
+            assert edge.layer_unresolved(y_edge, step) is unresolved[-1]
             # the loop takes the implicit step exactly where the layer is
             # unresolved
             count = len(solves)
-            y = dyn.advance(k * sc.step, y, sc.step)
+            y = dyn.advance(k * step, y, step)
+            y_edge = edge.advance(k * step, y_edge, step)
             assert len(solves) - count == unresolved[-1]
             assert np.all(y[dyn.sl_c] == y[dyn.sl_c.start])
+            assert np.array_equal(y[dyn.sl_c], y_edge[dyn.sl_c])
         switch = unresolved.index(True)
         assert 40 <= switch <= 60
         assert all(unresolved[switch:])
         tr = run(sc)
         assert np.all(tr.clocks == tr.clocks[:, :1])
+
+    @pytest.mark.parametrize("step", [1e-3, 9.5e-4])
+    @EQUAL_CLOCK_SYSTEMS
+    def test_a_sample_interval_is_its_steps_one_by_one(
+        self, channels, inputs, controller, step
+    ):
+        # run hands the loop a whole sample interval, over which it carries
+        # the clock as a Python float; advance hands it one step, and it
+        # reads the clock off the state. Near zero the clock's last bits are
+        # the step's, and a layer that thins fast (phi = 200) reads them:
+        # the implicit steps here cross zero. Stated before measuring: the
+        # two end bitwise equal.
+        sc = equal_clock_scenario(channels, inputs, controller, 0.0, step=step)
+        phi = 200.0
+        # the switch at clock -0.01
+        eps = step * _Dynamics(sc).stiffness / RK4_STABILITY_LIMIT * math.exp(-phi * 0.01)
+        sc = dataclasses.replace(
+            sc, gains=dataclasses.replace(sc.gains, eps=eps, phi=phi),
+            clocks0=np.full(6, -0.03), horizon=60 * step, sample_every=60,
+        )
+        dyn = _Dynamics(sc)
+        y = start_vector(sc)
+        assert not dyn.layer_unresolved(y, step)
+        for k in range(sc.steps):
+            y = dyn.advance(k * step, y, step)
+        assert dyn.layer_unresolved(y, step) and y[dyn.sl_c.start] > 0.0
+        tr = run(sc)
+        got = pack_state(tr.s[-1], tr.r[-1], tr.clocks[-1], tr.alpha[-1], tr.beta[-1])
+        assert np.array_equal(got, y)
 
     @pytest.mark.parametrize("channels", [1, 2])
     @pytest.mark.parametrize("controller", ["static", "modified"])

@@ -141,8 +141,15 @@ def test_equal_clock_path_matches_the_edge_form(draws):
     dense = run(sc)
     with mock.patch.object(engine, "DENSE_MAX_DIM", 0):
         edge = run(sc)
+    # each edge's coupling is antisymmetric, so the direction terms (and the
+    # static law's feedback) cancel over the agents and the modified law's
+    # feedback K x_i stays: stated before measuring, within 1e-13 of max |u|
     for tr in (dense, edge):
         assert np.all(tr.clocks == tr.clocks[:, :1])
+        total = tr.u.sum(axis=1)
+        if sc.controller == "modified":
+            total -= tr.x.sum(axis=1) @ sc.gains.k_mat.T
+        assert np.max(np.abs(total)) <= 1e-13 * np.max(np.abs(tr.u))
     for name in ("x", "u"):
         got, expected = getattr(dense, name), getattr(edge, name)
         assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected))
