@@ -239,6 +239,9 @@ class ScenarioBundle:
         if isinstance(topo_doc["vertices"], bool) or not isinstance(topo_doc["vertices"], int):
             raise ConfigError("topology.vertices must be an integer")
         self.topology = Topology(topo_doc["vertices"], _edges(topo_doc["edges"]))
+        # E edges connect at most E + 1 vertices; refused before anything per agent is made
+        if self.topology.vertex_count > self.topology.edge_count + 1:
+            raise DesignError("communication graph must be connected")
 
         n_agents = self.topology.vertex_count
         inputs = doc["inputs"]
@@ -452,10 +455,13 @@ def _stored(key: str, what: str):
 def _sync_pre_phase(bundle: ScenarioBundle):
     """Runs the bundle's sync pre-phase: (its clock_sync block, the clocks
     tracking starts from, all at the hand-over value), or (None, None) with
-    sync off. Raises a ConfigError when its steps do not fit in memory and a
-    NumericalError when it does not settle."""
+    sync off. Raises a ConfigError when its steps do not fit in memory or a
+    float count, and a NumericalError when it does not settle."""
     if not bundle.sync_enabled:
         return None, None
+    if bundle.sync_step * _MAX_STEPS < 1.0:  # the sync's horizon is at least 1 s
+        raise ConfigError(f"clock_sync.step: {bundle.sync_step:g} s is past float resolution "
+                          "(more than 2**53 steps a second)")
     spread = clock_spread(bundle.sync_offsets)
     with _stored("clock_sync.initial_offsets", f"the sync steps for a spread of {spread:g}"):
         result = run_sync(

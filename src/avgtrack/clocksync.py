@@ -14,9 +14,10 @@ finite-time stable systems of Polyakov, Efimov & Brogliato, 2019), which
 cannot overshoot, so the spread never grows and stepping stops at the first
 step below tol. The literal convention, which has no such step, is stepped
 through matkernel.rk4 to its horizon. The simulation engine's clock rows
-scatter clock_law's per-edge term, edge_coupling, through the engine's
-edge operators, which gives clock_law bit for bit, and the engine calls
-clock_law itself where it steps everything but the direction term.
+scatter clock_law's per-edge term, edge_coupling, through
+graph.Topology.scatter as clock_law does, which gives clock_law bit for
+bit, and the engine calls clock_law itself where it steps everything but
+the direction term.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Topology, is_connected, lambda2
-from .matkernel import rk4, solve
+from .graph import NodeSystem, Topology, is_connected, lambda2
+from .matkernel import rk4
 
 ATTRACTING = "attracting"
 PAPER_LITERAL = "paper_literal"
@@ -87,21 +88,16 @@ def edge_coupling(diff: np.ndarray) -> np.ndarray:
     return out
 
 
-def clock_law(t: float, clocks: np.ndarray, sigma: float, sources, targets) -> np.ndarray:
-    """dt_i/dt = 1 + sigma * sum_{j in N_i} edge_coupling(t_i - t_j), summed
-    with bincount over the arcs i -> j of Topology.arcs(), sigma being +1 or
-    -1 (coupling_sign). The law is autonomous: t is there so that rk4 steps
+def clock_law(t: float, clocks: np.ndarray, sigma: float, topology: Topology) -> np.ndarray:
+    """dt_i/dt = 1 + sigma * sum_{j in N_i} edge_coupling(t_i - t_j), the
+    sum taken as topology.scatter of each edge's term, sigma being +1 or -1
+    (coupling_sign). The law is autonomous: t is there so that rk4 steps
     it as it is, as the engine and the literal convention's sync do; the
     attracting sync's implicit step (_implicit_clock_step) takes its
     right-hand side from the same per-edge term. Returns a new array, which
     rk4 may overwrite."""
-    # t_j - t_i is -(t_i - t_j) exactly and edge_coupling is odd, so for
-    # sigma = -1 the sum over t_j - t_i is sigma times the sum, bit for bit,
-    # without a multiplication
-    first, second = (targets, sources) if sigma < 0.0 else (sources, targets)
-    diff = clocks[first]
-    diff -= clocks[second]
-    rates = np.bincount(sources, edge_coupling(diff), clocks.shape[0])
+    rates = topology.scatter(edge_coupling(clocks[topology.tails] - clocks[topology.heads]))
+    rates *= sigma
     rates += 1.0
     return rates
 
@@ -166,11 +162,12 @@ def plan_sync(
 ) -> SyncPlan:
     """Checks run_sync's arguments and fixes its length: ValueError for a
     tol or step that is not positive and finite, a horizon that is not
-    nonnegative and finite, bad clocks or convention, or a clock count other
-    than the topology's vertex count. The horizon defaults to
-    max(1, 4 sqrt(max(spread, tol)), settling_bound), the first two a
-    generous multiple of the two-agent settling time, which on long paths
-    the settling bound exceeds, and is rounded to whole steps."""
+    nonnegative and finite or overflows a count of steps, bad clocks or
+    convention, or a clock count other than the topology's vertex count.
+    The horizon defaults to max(1, 4 sqrt(max(spread, tol)),
+    settling_bound), the first two a generous multiple of the two-agent
+    settling time, which on long paths the settling bound exceeds, and is
+    rounded to whole steps."""
     for name, value in (("tol", tol), ("step", step)):
         if not 0.0 < value < np.inf:  # NaN fails too
             raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -183,6 +180,8 @@ def plan_sync(
         horizon = max(
             1.0, 4.0 * np.sqrt(max(state.spread, tol)), settling_bound(topology, state.times)
         )
+    if not float(horizon) / float(step) < np.inf:
+        raise ValueError(f"step {step} is too small for a horizon of {horizon}")
     return SyncPlan(state=state, step=step, steps=int(round(horizon / step)))
 
 
@@ -197,28 +196,17 @@ def _implicit_clock_step(topology: Topology, step: float):
     It is solved for the increment, t+ = t + step + d with
     (I + L_g) d = -L_g t, so that rounding scales with d, not with t: the
     mean clock advances by step to rounding of d. L_g t is the law's
-    coupling times step: g (t_i - t_j) = step sig(t_i - t_j) sqrt|t_i - t_j|."""
-    n = topology.vertex_count
+    coupling times step: g (t_i - t_j) = step sig(t_i - t_j) sqrt|t_i - t_j|.
+    (I + L_g) is graph.NodeSystem's matrix with M = 1."""
     tails, heads = topology.tails, topology.heads
-    # flat indices of the diagonal's unit entries, of each edge's (i, i),
-    # (j, j), (i, j) and (j, i) entries, then of the right-hand side past the
-    # n x n matrix, so that one bincount sums the whole system
-    index = np.concatenate((
-        np.arange(n) * (n + 1), tails * (n + 1), heads * (n + 1),
-        tails * n + heads, heads * n + tails, n * n + tails, n * n + heads,
-    ))
-    ones = np.ones(n)
+    system = NodeSystem(topology, 1.0)
 
     def advance(clocks: np.ndarray) -> np.ndarray:
         diff = clocks[tails] - clocks[heads]
         gap = np.abs(diff)
         gap[gap < DEAD_BAND] = np.inf  # a weight of 0
-        weight = step / np.sqrt(gap)
-        flux = weight * diff  # each edge's term of L_g t
-        negative = -weight
-        values = np.concatenate((ones, weight, weight, negative, negative, -flux, flux))
-        system = np.bincount(index, values, n * (n + 1))
-        increment = solve(system[: n * n].reshape(n, n), system[n * n:])
+        g = step / np.sqrt(gap)
+        increment = system.solve(g, g, topology.scatter(-g * diff))
         increment += step
         increment += clocks
         return increment
@@ -255,10 +243,9 @@ def run_sync(
         advance = _implicit_clock_step(topology, step)
     else:
         sigma = coupling_sign(convention)
-        sources, targets = topology.arcs()
 
         def advance(clocks):
-            return rk4(clock_law, 0.0, clocks, step, sigma, sources, targets)
+            return rk4(clock_law, 0.0, clocks, step, sigma, topology)
 
     # sized for the whole horizon, so that a horizon too long to store fails
     # here; rows past the stop are never written, so never resident

@@ -8,20 +8,19 @@ The flat state vector is laid out as
 
     y = [ s (N*n) | r (N*n) | clocks (N) | alpha (E) | beta (E) ]
 
-and every law is written once, as edge-indexed operators, as in the
-paper's edge-based design: each coupling is formed from the edge
-differences x_tail - x_head and t_tail - t_head through index arrays, K, A
-and B act as small per-agent matmuls, and the edge terms are summed back
-into the agents with bincount, so cost and memory grow with N + E. One
-operator gathers the edge quantities; the other is linear in the state,
-the per-edge terms and a constant 1, and gives the derivative. Up to a
-state dimension of DENSE_MAX_DIM the scenario also compiles to the dense
-form, those two operators' matrices read off their values on the unit
-vectors, so one evaluation is one matrix-vector product whatever the
-control law. The same compiled object reproduces the per-agent control
-values for trace samples. The clock rows scatter the per-edge term of the
-sync pre-phase's clock law, clocksync.edge_coupling, and equal
-clocksync.clock_law bit for bit.
+and every law is written once, as edge-indexed operators, as in the paper's
+edge-based design: each coupling is formed from the edge differences
+x_tail - x_head and t_tail - t_head through index arrays, K, A and B act as
+small per-agent matmuls, and the edge terms are summed back into the agents
+(graph.Topology.scatter), so cost and memory grow with N + E. One operator
+gathers the edge quantities; the other is linear in the state, the per-edge
+terms and a constant 1, and gives the derivative. Up to a state dimension
+of DENSE_MAX_DIM the scenario also compiles to the dense form, those two
+operators' matrices read off their values on the unit vectors, so one
+evaluation is one matrix-vector product whatever the control law. The same
+compiled object reproduces the per-agent control values for trace samples.
+The clock rows scatter the per-edge term of the sync pre-phase's clock law,
+clocksync.edge_coupling, and equal clocksync.clock_law bit for bit.
 
 Each step is classical fourth-order Runge-Kutta (matkernel.rk4, as in the
 sync pre-phase) while the step resolves the boundary layer eps e^{-phi t}
@@ -36,16 +35,12 @@ discontinuous direction w/||w|| keep explicit RK4 throughout. The layer is
 floored at LAYER_FLOOR c2 rho(K B), so that on long horizons it stays
 positive and the implicit step's matrix stays nonsingular in floating point.
 
-With equal clocks that matrix is I + D diag(f) D^T kron B^T P B, symmetric
-positive definite, and from one step to the next only the edge weights f
-change. Above the dense limit it is solved by conjugate gradients that
-apply it through the edge index arrays, start from the last step's solution
-and are preconditioned with the inverse of an earlier step's matrix,
-refreshed when they miss their iteration cap (_solve_lagged). On a ring
-plus N/2 chords (one BLAS thread, 2-vCPU x86 VM shared with other load)
-that takes about 6.3 iterations a step and 3 refreshes in 500 steps at
-N = 200, a median of 0.58 ms a step against 1.20 ms with LU, and 3.8-4.2
-ms against 33 ms at N = 1000. The dense form and unequal clocks keep LU.
+That matrix is graph.NodeSystem's with M = B^T P B; with equal clocks it
+is I + L_f kron M, symmetric positive definite, and from one step to the
+next only the edge weights f change. Above the dense limit it is then
+solved by NodeSystem.solve_lagged, lagged-preconditioned conjugate
+gradients through the edge index arrays. The dense form and unequal clocks
+keep LU.
 
 At small N a step's cost is the number of numpy calls, not arithmetic, so
 the step keeps that number low where the system allows. The fused map's
@@ -53,8 +48,7 @@ input is written through fixed views of one array. With equal clocks the
 layer eps e^{-phi t} is one value for every edge, and with one input wave
 as well "everything else" is affine in the state, the affine column and
 the wave; its RK4 step is matkernel.rk4 of without_direction on every
-route, the equal-clock path's matrix included. The implicit step's node
-matrix is written at fixed indices into one reused array.
+route, the equal-clock path's matrix included.
 
 The dense form with every clock equal at the start, on a connected graph
 with one input wave and the continuous direction term, takes the
@@ -87,8 +81,8 @@ import numpy as np
 from .clocksync import ATTRACTING, clock_law, clock_spread, coupling_sign, edge_coupling
 from .controllers import AdaptiveParams, GainSet
 from .errors import DesignError, NumericalError
-from .graph import Topology, incidence, is_connected, laplacian
-from .matkernel import RK4_STABILITY_LIMIT, is_hurwitz, matrix_of, rk4, solve
+from .graph import NodeSystem, Topology, is_connected, laplacian
+from .matkernel import RK4_STABILITY_LIMIT, is_hurwitz, matrix_of, rk4
 from .signals import InputFamily, Plant
 
 _CONTROLLERS = ("static", "modified", "adaptive")
@@ -119,12 +113,6 @@ DENSE_MAX_DIM = 300
 # where eps e^{-phi t} would underflow. It binds only on long horizons: in
 # the shipped static scenario from t of about 48 s on.
 LAYER_FLOOR = 1e-12
-
-# The equal-clock implicit solve above the dense limit (_solve_lagged):
-# conjugate gradients to a residual of ITERATIVE_RTOL ||rhs||, refreshing its
-# preconditioner past ITERATIVE_CAP iterations.
-ITERATIVE_RTOL = 1e-13
-ITERATIVE_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -244,16 +232,11 @@ class _Dynamics:
         self.k_t = k_mat.T
         self.sigma = coupling_sign(sc.clock_convention)
 
-        self.tails, self.heads = tails, heads = topo.tails, topo.heads
-        self.arcs = topo.arcs()
+        self.topo, self.tails, self.heads = topo, topo.tails, topo.heads
         self.connected = is_connected(topo)
         self.dense = False  # until the dense form is built, below
         self.a_t = plant.a.T
         self.b_t = plant.b.T
-        # bincount bins of every edge's tail and head entries, then the same
-        # per input channel
-        self._ends = self.arcs[0]
-        self._ends_p = (self._ends[:, None] * p + np.arange(p)).ravel()
         # u = gain (Dp z_t - Dm z_h) + the law's linear feedback (_control)
         self.gain = 1.0 if self.adaptive else gains.c2
         self.single_channel = p == 1
@@ -290,17 +273,11 @@ class _Dynamics:
             self.in_amp[self.sl_r] = self._apply_b(amp)
 
         # The dense form is the matrix of the edge operators, read off their
-        # values on the unit vectors before dense switches the primitives
-        # over to it.
+        # values on the unit vectors.
         self._gather, self._rates = self._gather_edges, self._rates_edges
         if dim <= DENSE_MAX_DIM:
             self.gather = matrix_of(self._gather_edges, dim)
             self.out_map = matrix_of(self._rates_edges, self._stacked.size)
-            self.sb = matrix_of(self._apply_b, n_agents * p)
-            self.d_inc = incidence(topo)
-            self.d_plus = np.maximum(self.d_inc, 0.0)
-            self.d_minus = self.d_plus - self.d_inc
-            self.gather_w = self.gather[self.i_w]
             self._gather, self._rates = self.gather.dot, self.out_map.dot
             self.dense = True
 
@@ -317,23 +294,7 @@ class _Dynamics:
         self.stiffness = 0.0
         if sc.controller != "adaptive" and not sc.discontinuous and n_edges:
             self.stiffness = float(gains.c2 * np.linalg.eigvalsh(laplacian(topo))[-1] * rho_kb)
-            # _implicit_matrix's buffers: [f_t | f_h] for the two ends of
-            # every edge, the node matrix W D^T (written in place of the
-            # matrix itself when there is one channel) and the flat indices
-            # of each edge's (t,h) and (h,t) entries; every entry off the
-            # diagonal and those indices stays zero
-            self._f_ends = np.empty(2 * n_edges)
-            self._f_halves = (self._f_ends[:n_edges], self._f_ends[n_edges:])
-            self._node = np.zeros((n_agents, n_agents))
-            self._node_flat = self._node.reshape(-1)
-            self._node_diag = self._node_flat[:: n_agents + 1]
-            self._off_index = np.concatenate((tails * n_agents + heads, heads * n_agents + tails))
-            if self.single_channel:
-                self._kb1 = float(self.kb[0, 0])
-            else:
-                self._eye = np.eye(n_agents * p)
-            # _solve_lagged's preconditioner and last solution
-            self._precond = self._solution = None
+            self.system = NodeSystem(topo, -self.kb)
 
         # The equal-clock path of advance: the dense form, every clock equal
         # at the start of a connected graph, one input wave, and the
@@ -353,8 +314,7 @@ class _Dynamics:
     #
     # Each law is written once, on the edge index arrays: _gather_edges forms
     # the edge differences and _rates_edges sums the edge terms back into the
-    # agents. The dense form is their matrix, and the primitives below that
-    # branch on dense only pick the cheaper way to apply the same map.
+    # agents. The dense form is their matrix, which only __call__ applies.
 
     def _gather_edges(self, y):
         """[w | t_tail - t_head | (adaptive laws) x_tail - x_head], flat: the
@@ -381,7 +341,7 @@ class _Dynamics:
         out = self._assemble(y, u, np.empty(self.dim))
         # the scatter only adds zeros when every clock coupling is zero
         if sig.any():
-            out[self.sl_c] = self.sigma * self._scatter(sig, sig)
+            out[self.sl_c] = self.sigma * self.topo.scatter(sig)
         if self.adaptive:
             (quad, source), adapt = sources, self.adapt
             out[self.sl_a] = adapt.mu * (quad - adapt.theta * y[self.sl_a])
@@ -408,8 +368,6 @@ class _Dynamics:
 
     def _gather_w(self, y):
         """The edge inputs w = K (x_tail - x_head) alone, flat (E*p,)."""
-        if self.dense:
-            return self.gather_w.dot(y)
         return (self._state_differences(y) @ self.k_t).ravel()
 
     def _state_differences(self, y):
@@ -417,26 +375,8 @@ class _Dynamics:
         x = (y[self.sl_s] + y[self.sl_r]).reshape(self.n_agents, self.n)
         return x.take(self.tails, axis=0) - x.take(self.heads, axis=0)
 
-    def _scatter(self, tail, head):
-        """Dp tail - Dm head: per-edge rows (E,) or (E, p) summed into the
-        tail and head agents, (N,) or (N, p)."""
-        if self.dense:
-            if head is tail:
-                return self.d_inc.dot(tail)
-            out = self.d_plus.dot(tail)
-            out -= self.d_minus.dot(head)
-            return out
-        if tail.ndim == 1:
-            bins, shape = self._ends, (self.n_agents,)
-        else:
-            bins, shape = self._ends_p, (self.n_agents, self.p)
-        weights = np.concatenate((tail.ravel(), -head.ravel()))
-        return np.bincount(bins, weights, math.prod(shape)).reshape(shape)
-
     def _apply_b(self, f):
         """(I kron B) applied to stacked inputs f (N, p) or (N*p,), flat."""
-        if self.dense:
-            return self.sb.dot(f.ravel())
         return (f.reshape(self.n_agents, self.p) @ self.b_t).ravel()
 
     def _linear(self, v, out):
@@ -506,14 +446,14 @@ class _Dynamics:
         if self.controller == "static":
             if w2 is None:
                 w2 = self._gather_w(y).reshape(self.n_edges, self.p)
-            return self.c1 * self._scatter(w2, w2)
+            return self.c1 * self.topo.scatter(w2)
         x = (y[self.sl_s] + y[self.sl_r]).reshape(self.n_agents, self.n)
         return x @ self.k_t
 
     def _control(self, y, w2, z_t, z_h):
         """Stacked controls u (N, p) = gain (Dp z_t - Dm z_h) plus, for the
         static and modified laws, their linear feedback (_feedback)."""
-        u = self.gain * self._scatter(z_t, z_h)
+        u = self.gain * self.topo.scatter(z_t, z_h)
         if not self.adaptive:
             u += self._feedback(y, w2)
         return u
@@ -584,7 +524,7 @@ class _Dynamics:
         ydot = self._linear(y, np.empty(self.dim))
         ydot += self.const
         if couple_clocks:
-            ydot[self.sl_c] = clock_law(t, y[self.sl_c], self.sigma, *self.arcs)
+            ydot[self.sl_c] = clock_law(t, y[self.sl_c], self.sigma, self.topo)
         return self._add_inputs(t, ydot)
 
     def implicit_step(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
@@ -605,23 +545,17 @@ class _Dynamics:
 
         The right-hand side is formed from the edge differences w(x*), not
         as (W D^T kron K) x*, which would cancel large terms and lose the
-        average. W D^T is the Laplacian of a weighted digraph (zero row
-        sums, spectrum in the closed right half-plane) and
-        K B = -B^T P B <= 0, so the matrix is nonsingular for any dt in exact
-        arithmetic; with equal clocks it is symmetric positive definite
-        (_implicit_matrix). In floating point the identity is lost where
-        some w_e is exactly zero and f |KB| nears 1e16 (4.5e15 in the shipped
-        static run at t = 78.7 s with no floor); the layer floor
-        (LAYER_FLOOR) keeps f |KB| <= 1e12 dt.
+        average. The matrix is graph.NodeSystem's with M = -K B = B^T P B,
+        nonsingular for any dt in exact arithmetic. In floating point the
+        identity is lost where some w_e is exactly zero and f |KB| nears
+        1e16 (4.5e15 in the shipped static run at t = 78.7 s with no floor);
+        the layer floor (LAYER_FLOOR) keeps f |KB| <= 1e12 dt.
 
-        Above the dense limit an equal-clock solve is _solve_lagged, which
-        starts from the last call's solution and is preconditioned with the
-        inverse of an earlier call's matrix, both kept on this object. Its
-        answer, accurate to ITERATIVE_RTOL, then depends to rounding (about
-        1e-13 of it) on the calls before it, so one _Dynamics serves one
-        trajectory: run compiles a fresh one per run.
+        Above the dense limit an equal-clock solve is
+        NodeSystem.solve_lagged, which keeps state between calls, so one
+        _Dynamics serves one trajectory: run compiles a fresh one per run.
         """
-        n_agents, p, n_edges = self.n_agents, self.p, self.n_edges
+        p, n_edges = self.p, self.n_edges
         _, dclk, nrm, _ = self._edge_terms(y)
         synced = not np.count_nonzero(dclk)
         inv_t, inv_h = self._direction_coeffs(y, nrm, synced)
@@ -632,111 +566,20 @@ class _Dynamics:
         w = self._gather_w(y_next)
         tail = (self._edge_scale(f_t) * w).reshape(n_edges, p)
         head = tail if synced else (self._edge_scale(f_h) * w).reshape(n_edges, p)
-        rhs = self._scatter(tail, head).ravel()
+        rhs = self.topo.scatter(tail, head).ravel()
         if synced and not self.dense:
-            v = self._solve_lagged(f_t, rhs)
+            v = self.system.solve_lagged(f_t, rhs)
         else:
-            v = solve(self._implicit_matrix(f_t, f_h), rhs)
+            v = self.system.solve(f_t, f_h, rhs)
         s_next = y_next[self.sl_s]
         s_next += self._apply_b(v)
         return y_next
-
-    def _solve_lagged(self, f, rhs):
-        """The equal-clock implicit solve A v = rhs by conjugate gradients,
-        A = I - (D diag(f) D^T) kron (K B) symmetric positive definite and
-        applied in O(N + E) (_implicit_product). It starts from the last
-        call's solution and is preconditioned with the inverse of an earlier
-        call's matrix, which from one step to the next differs only in f.
-        Past ITERATIVE_CAP iterations short of ITERATIVE_RTOL ||rhs||, on a
-        breakdown, on the first call, or where ||rhs||^2 overflows, it
-        refreshes: the inverse of this call's matrix gives the answer, with
-        one step of iterative refinement, and becomes the preconditioner
-        (Hairer and Wanner, Solving ODEs II, IV.8; Saad, Iterative Methods
-        for Sparse Linear Systems, 2003, ch. 9). Over 500 steps on a ring of
-        200 plus 100 chords, starting from the last solution takes 6.3
-        iterations a solve and 3 refreshes where starting from zero takes
-        7.6 and 4."""
-        precond = self._precond
-        tol2 = ITERATIVE_RTOL * ITERATIVE_RTOL * rhs.dot(rhs)
-        # past ||rhs|| of about 1e154 tol2 overflows, and so would the
-        # iteration's inner products: refresh
-        if precond is not None and tol2 < math.inf:
-            v = self._solution.copy()
-            res = rhs - self._implicit_product(v, f)
-            if res.dot(res) <= tol2:
-                return v
-            d = z = precond.dot(res)
-            rz = res.dot(z)
-            for _ in range(ITERATIVE_CAP):
-                q = self._implicit_product(d, f)
-                dq = d.dot(q)
-                # a lagged inverse of a nearly singular matrix can lose its
-                # definiteness in floating point; that, too, ends in a refresh
-                if not (rz > 0.0 and dq > 0.0):
-                    break
-                alpha = rz / dq
-                v += alpha * d
-                res -= alpha * q
-                if res.dot(res) <= tol2:
-                    self._solution = v
-                    return v
-                z = precond.dot(res)
-                rz, rz_last = res.dot(z), rz
-                d = z + (rz / rz_last) * d
-        # the old inverse is let go first, so the new one does not add to
-        # its memory at the peak
-        precond = self._precond = None
-        precond = self._precond = np.linalg.inv(self._implicit_matrix(f, f))
-        v = precond.dot(rhs)
-        v += precond.dot(rhs - self._implicit_product(v, f))
-        self._solution = v
-        return v
-
-    def _implicit_product(self, v, f):
-        """A v for the equal-clock matrix A = I - (D diag(f) D^T) kron (K B)
-        of implicit_step, v flat (N*p,), through the edge index arrays."""
-        nodes = v.reshape(self.n_agents, self.p)
-        edge = nodes.take(self.tails, axis=0) - nodes.take(self.heads, axis=0)
-        edge *= f[:, None]
-        lap = self._scatter(edge, edge)
-        if self.single_channel:
-            return v - self._kb1 * lap.ravel()
-        return v - (lap @ self.kb.T).ravel()
-
-    def _implicit_matrix(self, f_t, f_h):
-        """I - (W D^T) kron (K B) of implicit_step, W = Dp diag(f_t) - Dm diag(f_h).
-
-        W D^T is -f_t at each edge's (t,h) entry, -f_h at its (h,t) entry,
-        and on the diagonal the sum of f over the edge ends at each agent.
-        It is written at fixed indices into one N x N array that the next
-        call overwrites: fresh N^2 arrays, page-faulted in anew each step,
-        cost 17 times the arithmetic at N = 200. With one input channel that
-        array is the matrix itself, scaled by -kb as it is written.
-        """
-        f_ends = self._f_ends
-        self._f_halves[0][...] = f_t
-        self._f_halves[1][...] = f_h
-        diag = np.bincount(self.arcs[0], f_ends, self.n_agents)
-        if self.single_channel:
-            kb = self._kb1
-            self._node_flat[self._off_index] = f_ends * kb
-            diag *= -kb
-            np.add(diag, 1.0, out=self._node_diag)
-            return self._node
-        self._node_flat[self._off_index] = -f_ends
-        self._node_diag[...] = diag
-        lhs = np.kron(self._node, -self.kb)
-        lhs += self._eye
-        return lhs
 
     def controls(self, t: float, y: np.ndarray) -> np.ndarray:
         """Stacked control inputs u (N, p) at the given state."""
         w, dclk, nrm, _ = self._edge_terms(y)
         inv_t, inv_h = self._direction_coeffs(y, nrm, not np.count_nonzero(dclk))
         shape = (self.n_edges, self.p)
-        # two reshaped views even of one array: the dense _scatter then sums
-        # Dp z_t - Dm z_h, where one product with D would round the traced
-        # controls differently
         z_t, z_h = (z.reshape(shape) for z in self._edge_inputs(y, w, inv_t, inv_h))
         return self._control(y, w.reshape(shape), z_t, z_h)
 

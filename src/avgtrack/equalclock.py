@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 
+from .graph import incidence
 from .matkernel import RK4_STABILITY_LIMIT, matrix_of, rk4, solve
 
 # Samples per product of the sampled controls (EqualClockLoop.controls): all
@@ -51,7 +52,7 @@ class EqualClockLoop:
         self.eps, self.phi, self.floor = dyn.eps, dyn.phi, dyn.layer_floor
         self.omega, self.phase = dyn.wave_omega, dyn.wave_phase
         self.stiffness, self.c2, self.single = dyn.stiffness, dyn.c2, dyn.single_channel
-        self.gather_w = dyn.gather_w
+        self.gather_w = dyn.gather[dyn.i_w]
         self._linear, self._const, self._amp = dyn._linear, dyn.const, dyn.in_amp
         self._norms = dyn._norms
 
@@ -63,13 +64,14 @@ class EqualClockLoop:
         ))
         self.stage_map = np.vstack((stage_map, self.gather_w @ stage_map))
         self.with_w = np.vstack((np.eye(dim), self.gather_w))  # y to [y | w(y)]
-        outer = dyn.d_inc[:, None, :] * dyn.d_inc[None, :, :]
-        layer_map = np.einsum("ije,ab->iajbe", outer, -dyn.kb).reshape(nodes * nodes, -1)
+        d_inc = incidence(dyn.topo)
+        outer = d_inc[:, None, :] * d_inc[None, :, :]
+        layer_map = np.einsum("ije,ab->iajbe", outer, dyn.system.m).reshape(nodes * nodes, -1)
         self.lhs = np.eye(nodes)
         self.lhs_flat = self.lhs.reshape(-1)
         self.node_rows = np.flatnonzero(layer_map.any(axis=1))
         reached = self.node_rows.size
-        d_p = np.kron(dyn.d_inc, np.eye(p))
+        d_p = np.kron(d_inc, np.eye(p))
         self.implicit_map = np.zeros((reached + nodes, n_edges + ep + 1))
         self.implicit_map[:reached, :n_edges] = layer_map[self.node_rows]
         self.implicit_map[:reached, -1] = self.lhs_flat[self.node_rows]
@@ -77,7 +79,7 @@ class EqualClockLoop:
         feedback = matrix_of(lambda y: dyn._feedback(y).ravel(), dim)
         self.control_map = np.hstack((feedback, dyn.gain * d_p))
         self.b_rows = np.zeros((dim, nodes))  # I kron B on the s rows of a state
-        self.b_rows[dyn.sl_s] = dyn.sb
+        self.b_rows[dyn.sl_s] = matrix_of(dyn._apply_b, nodes)
         self._step_dt = self._step = None
 
         # The buffers and their views, made once: at N = 6 making the views

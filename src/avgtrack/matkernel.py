@@ -1,8 +1,8 @@
 """Dense real-matrix kernel: symmetric eigendecomposition, Lyapunov solves,
 stabilizability test, the continuous algebraic Riccati equation solver used
-by the gain design, the classical fourth-order Runge-Kutta step, the
-small linear solve that the clock-sync pre-phase and the simulation engine
-both take, and the matrix of a linear map read off its unit vectors.
+by the gain design, the classical fourth-order Runge-Kutta step, a small
+dense linear solve, and the matrix of a linear map read off its unit
+vectors.
 
 Everything here is a pure function of its inputs. The symmetric
 eigendecomposition is LAPACK's (np.linalg.eigh), so it also serves the
@@ -180,8 +180,8 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     wrapper's argument checks and error-state switch: on a 6 x 6 system
     about 2.3 us against 8.1 us (2-vCPU x86 VM, numpy 2.4).
 
-    Its callers pass I plus a positive semidefinite matrix, whose
-    eigenvalues are at least 1, so it is never singular there. Without the
+    Its callers pass graph.NodeSystem's matrices, whose eigenvalues have
+    real parts of at least 1, so it is never singular there. Without the
     wrapper a singular a does not raise LinAlgError: the gufunc warns
     (RuntimeWarning, invalid value) and returns NaN. A NaN entry gives NaN
     out silently, as np.linalg.solve does, for the caller's finiteness

@@ -39,6 +39,14 @@ def reference_derivative(plant: Plant, r_i, f_i) -> np.ndarray:
     return plant.a @ r + plant.b @ f
 
 
+def arcs(topology: Topology) -> tuple[np.ndarray, np.ndarray]:
+    """(sources, targets): each edge tail to head, then head to tail."""
+    return (
+        np.concatenate((topology.tails, topology.heads)),
+        np.concatenate((topology.heads, topology.tails)),
+    )
+
+
 def neighbors(topology: Topology, i: int) -> list[int]:
     """N_i in edge order."""
     out = []
@@ -213,12 +221,11 @@ def full_horizon_sync(topology: Topology, initial, convention: str, tol: float, 
     (times (S,), clocks (S, N)). The horizon defaults as in run_sync."""
     clk = np.asarray(initial, dtype=float)
     sigma = coupling_sign(convention)
-    sources, targets = topology.arcs()
     steps = _sync_steps(topology, clk, tol, step, horizon)
     clocks = np.empty((steps + 1, clk.shape[0]))
     clocks[0] = clk
     for k in range(steps):
-        clk = rk4(clock_law, k * step, clk, step, sigma, sources, targets)
+        clk = rk4(clock_law, k * step, clk, step, sigma, topology)
         clocks[k + 1] = clk
     return np.arange(steps + 1) * step, clocks
 
@@ -340,14 +347,14 @@ def affine_rk4_recursion(dyn, t: float, y, dt: float) -> np.ndarray:
 def general_implicit_step(dyn, t: float, y, dt: float) -> np.ndarray:
     """An equal-clock implicit step of a _Dynamics by the general route:
     RK4 of without_direction to y*, then implicit_step's node-space system
-    built by _implicit_matrix and solved by np.linalg.solve (LU), its
+    built by its NodeSystem's matrix and solved by np.linalg.solve (LU), its
     solution v moving s by (I kron B) v."""
     y_star = rk4(dyn.without_direction, t, y, dt, False)
     _, _, nrm, _ = dyn._edge_terms(y)
     inv, _ = dyn._direction_coeffs(y, nrm, True)
     f = (dt * dyn.c2) * inv
     edge = (dyn._edge_scale(f) * dyn._gather_w(y_star)).reshape(dyn.n_edges, dyn.p)
-    v = np.linalg.solve(dyn._implicit_matrix(f, f), dyn._scatter(edge, edge).ravel())
+    v = np.linalg.solve(dyn.system.matrix(f, f), dyn.topo.scatter(edge).ravel())
     y_star[dyn.sl_s] += dyn._apply_b(v)
     return y_star
 

@@ -114,13 +114,20 @@ class TestExitCodes:
         assert err.startswith("schema-error:")
         assert len(err.strip().splitlines()) == 1
 
-    def test_disconnected_graph_is_two(self, tmp_path, capsys):
-        doc = tiny_config(topology={"vertices": 2, "edges": []})
+    # vertex counts that one edge cannot connect; the inputs object is
+    # shared, so nothing per agent is made before the count is refused
+    @pytest.mark.parametrize(
+        "vertices, edges", [(2, []), (10**15, [[0, 1]]), (10**30, [[0, 1]])],
+        ids=["two-apart", "1e15", "1e30"],
+    )
+    def test_disconnected_graph_is_two(self, tmp_path, capsys, vertices, edges):
+        doc = tiny_config(topology={"vertices": vertices, "edges": edges})
         path = write_config(tmp_path, doc)
         assert main(["gains", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("design-error:")
         assert "connected" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_unstabilizable_plant_is_two(self, tmp_path, capsys):
         doc = tiny_config(plant={"A": [[1.0]], "B": [[0.0]]})
@@ -177,6 +184,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("schema-error: clock_sync.initial_offsets: ")
         assert "do not fit in memory" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("step", [1e-300, 1e-310, 5e-324])
+    def test_tiny_clock_sync_step_is_named(self, tmp_path, capsys, step):
+        # the step, not the offsets, asks for more sync steps than a count
+        # can hold: 1e-310 and 5e-324 overflow horizon / step to inf
+        doc = json.loads(STATIC_CONFIG.read_text())
+        doc["clock_sync"]["step"] = step
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema-error: clock_sync.step: ")
         assert len(err.strip().splitlines()) == 1
 
     def test_unstorable_trace_is_one(self, tmp_path, capsys):

@@ -92,12 +92,12 @@ class TestClockLaw:
             clocks = rng.uniform(-1.0, 1.0, agents)
             clocks[1] = clocks[0] + 0.5 * DEAD_BAND
             state = ClockState(times=clocks, convention=convention)
-            law = clock_law(0.0, clocks, sigma, *topo.arcs())
+            law = clock_law(0.0, clocks, sigma, topo)
             assert np.max(np.abs(law - clock_rates(state, topo))) <= 1e-14
 
     def test_equal_clocks_run_at_exactly_one(self):
         topo = demo_topology()
-        law = clock_law(0.0, np.full(6, 3.25), -1.0, *topo.arcs())
+        law = clock_law(0.0, np.full(6, 3.25), -1.0, topo)
         assert np.array_equal(law, np.ones(6))
 
 
@@ -151,11 +151,12 @@ class TestPlanSync:
             (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, -1.0, "^horizon must be nonnegative"),
             (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, np.nan, "^horizon must be nonnegative"),
             (2, [1.0, 0.0], ATTRACTING, 1e-9, 1e-5, np.inf, "^horizon must be nonnegative"),
+            (2, [1.0, 0.0], ATTRACTING, 1e-9, 5e-324, None, "^step 5e-324 is too small"),
         ],
         ids=[
             "tol", "step", "count", "nonfinite", "convention", "tol-nan",
             "tol-inf", "step-nan", "step-inf", "horizon-negative", "horizon-nan",
-            "horizon-inf",
+            "horizon-inf", "step-count-overflows",
         ],
     )
     def test_checks_run_syncs_arguments(

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from avgtrack import engine, equalclock
+from avgtrack import engine, equalclock, graph
 from avgtrack.clocksync import (
     ATTRACTING,
     DEAD_BAND,
@@ -33,7 +33,7 @@ from avgtrack.engine import (
     tracking_error,
 )
 from avgtrack.errors import DesignError, NumericalError
-from avgtrack.graph import Topology, laplacian
+from avgtrack.graph import NodeSystem, Topology, laplacian
 from avgtrack.matkernel import rk4
 from avgtrack.signals import (
     ConstantInput,
@@ -1114,11 +1114,11 @@ def ring_static_scenario(channels, clock):
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Counts of the np.linalg.inv calls and of the LU solves, through
-    np.linalg.solve or matkernel.solve in the engine or its equal-clock
-    loop, made from here on."""
+    np.linalg.solve or matkernel.solve in the node system or the engine's
+    equal-clock loop, made from here on."""
     calls = {"inv": 0, "solve": 0}
     for owner, name in (
-        (np.linalg, "inv"), (np.linalg, "solve"), (engine, "solve"), (equalclock, "solve"),
+        (np.linalg, "inv"), (np.linalg, "solve"), (graph, "solve"), (equalclock, "solve"),
     ):
 
         def counted(*args, _name=name, _real=getattr(owner, name)):
@@ -1147,7 +1147,7 @@ class TestLaggedImplicitSolve:
             assert np.array_equal(lhs, lhs.T)
             assert np.linalg.eigvalsh(lhs)[0] >= 1.0 - 1e-9
             v = rng.uniform(-1.0, 1.0, lhs.shape[0])
-            got = dyn._implicit_product(v, f)
+            got = dyn.system.product(v, f)
             expected = lhs @ v
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
@@ -1182,14 +1182,14 @@ class TestLaggedImplicitSolve:
         self, monkeypatch, edge_form, linalg_calls
     ):
         solves = []
-        solve_lagged = _Dynamics._solve_lagged
+        solve_lagged = NodeSystem.solve_lagged
 
-        def recorded(dyn, f, rhs):
-            v = solve_lagged(dyn, f, rhs)
+        def recorded(system, f, rhs):
+            v = solve_lagged(system, f, rhs)
             solves.append((f, rhs, v.copy()))
             return v
 
-        monkeypatch.setattr(_Dynamics, "_solve_lagged", recorded)
+        monkeypatch.setattr(NodeSystem, "solve_lagged", recorded)
         # at t = 40 the layer is thin and the first matrix's condition
         # number is about 2e9
         sc = ring_static_scenario(1, clock=40.0)
@@ -1220,12 +1220,12 @@ class TestLaggedImplicitSolve:
         for f, rhs, v in solves:
             lhs = implicit_matrix_bincount(sc.topology, dyn.kb, f, f)
             residual = np.linalg.norm(lhs @ v - rhs)
-            assert residual <= 2.0 * engine.ITERATIVE_RTOL * np.linalg.norm(rhs)
+            assert residual <= 2.0 * graph.ITERATIVE_RTOL * np.linalg.norm(rhs)
         # and the step is LU's
         monkeypatch.setattr(
-            _Dynamics,
-            "_solve_lagged",
-            lambda dyn, f, rhs: np.linalg.solve(dyn._implicit_matrix(f, f), rhs),
+            NodeSystem,
+            "solve_lagged",
+            lambda system, f, rhs: np.linalg.solve(system.matrix(f, f), rhs),
         )
         expected = _Dynamics(sc).advance(40.03, jumped, sc.step)
         assert linalg_calls["solve"] == 1
@@ -1236,22 +1236,22 @@ class TestLaggedImplicitSolve:
         rng = np.random.default_rng(3)
         f = rng.uniform(0.0, 1.0, dyn.n_edges)
         rhs = rng.uniform(-1.0, 1.0, dyn.n_agents)
-        dyn._solve_lagged(f, rhs)
+        dyn.system.solve_lagged(f, rhs)
         # a new matrix: conjugate gradients on the first one's inverse
         f = f * rng.uniform(1.0, 1.1, dyn.n_edges)
-        first = dyn._solve_lagged(f, rhs)
+        first = dyn.system.solve_lagged(f, rhs)
         assert linalg_calls["inv"] == 1
         products = []
-        product = _Dynamics._implicit_product
+        product = NodeSystem.product
 
-        def counted(dyn, v, f):
+        def counted(system, v, f):
             products.append(v)
-            return product(dyn, v, f)
+            return product(system, v, f)
 
-        monkeypatch.setattr(_Dynamics, "_implicit_product", counted)
+        monkeypatch.setattr(NodeSystem, "product", counted)
         # the same solve again: its residual at the last solution meets the
         # tolerance, so it takes no iteration
-        again = dyn._solve_lagged(f, rhs)
+        again = dyn.system.solve_lagged(f, rhs)
         assert len(products) == 1
         assert np.array_equal(again, first)
         assert linalg_calls["inv"] == 1
@@ -1264,10 +1264,10 @@ class TestLaggedImplicitSolve:
         rng = np.random.default_rng(7)
         f = rng.uniform(0.0, 1.0, dyn.n_edges)
         rhs = rng.uniform(-1.0, 1.0, dyn.n_agents)
-        dyn._solve_lagged(f, rhs)
+        dyn.system.solve_lagged(f, rhs)
         scale = 1e160
         with np.errstate(over="ignore"):
-            v = dyn._solve_lagged(f, scale * rhs)
+            v = dyn.system.solve_lagged(f, scale * rhs)
         lhs = implicit_matrix_bincount(sc.topology, dyn.kb, f, f)
         residual = (lhs @ v - scale * rhs) / scale
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(rhs)
@@ -1330,7 +1330,7 @@ class TestOneClockLaw:
         assert dyn.dense is dense
         y = start_vector(sc)
         sigma = -1.0 if convention == ATTRACTING else 1.0
-        law = clock_law(0.7, clocks, sigma, *topo.arcs())
+        law = clock_law(0.7, clocks, sigma, topo)
         reference = clock_rates(ClockState(times=clocks, convention=convention), topo)
         assert np.max(np.abs(law - reference)) <= 1e-14
 
@@ -1378,7 +1378,7 @@ class TestStepPieces:
             for scale in (1e-3, 1e2):
                 f_t = scale * rng.uniform(0.0, 1.0, topo.edge_count)
                 for f_h in (f_t, scale * rng.uniform(0.0, 1.0, topo.edge_count)):
-                    lhs = dyn._implicit_matrix(f_t, f_h)
+                    lhs = dyn.system.matrix(f_t, f_h)
                     expected = implicit_matrix_bincount(topo, dyn.kb, f_t, f_h)
                     assert np.array_equal(lhs, expected)
 
@@ -1624,10 +1624,10 @@ class TestEqualClockPath:
             out = dyn.loop.implicit_map @ np.concatenate((f, f_w, [1.0]))
             got = np.eye(dyn.n_agents * dyn.p)
             got.reshape(-1)[dyn.loop.node_rows] = out[:reached]
-            expected = dyn._implicit_matrix(f, f)
+            expected = dyn.system.matrix(f, f)
             assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
             edge = f_w.reshape(dyn.n_edges, dyn.p)
-            rhs = dyn._scatter(edge, edge).ravel()
+            rhs = dyn.topo.scatter(edge).ravel()
             assert np.max(np.abs(out[reached:] - rhs)) <= 1e-15 * np.max(np.abs(rhs))
 
     # 6 (dt / 6), what an RK4 step adds to a clock, is dt at the shipped step

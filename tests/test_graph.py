@@ -11,7 +11,7 @@ from avgtrack.graph import (
 )
 
 from conftest import demo_topology
-from oracles import centering_matrix
+from oracles import arcs, centering_matrix
 
 
 def random_connected_topology(rng, max_vertices=8):
@@ -45,13 +45,16 @@ class TestTopology:
         topo = demo_topology()
         assert list(topo.tails) == [i for i, _ in topo.edges]
         assert list(topo.heads) == [j for _, j in topo.edges]
-        sources, targets = topo.arcs()
+        sources, targets = arcs(topo)
         assert list(zip(sources, targets)) == list(topo.edges) + [(j, i) for i, j in topo.edges]
+        assert np.array_equal(topo.ends, sources)
         assert not topo.tails.flags.writeable and not topo.heads.flags.writeable
+        assert not topo.ends.flags.writeable
         twin = Topology(vertex_count=6, edges=topo.edges)
         assert twin == topo and hash(twin) == hash(topo)
         assert "tails" not in repr(topo)
         assert Topology(vertex_count=1, edges=()).tails.shape == (0,)
+        assert Topology(vertex_count=1, edges=()).ends.shape == (0,)
 
     def test_neighbor_counts(self):
         topo = demo_topology()

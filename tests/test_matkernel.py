@@ -8,7 +8,7 @@ from scipy.linalg import expm, solve_continuous_are
 from conftest import DEMO_CONFIG, STATIC_CONFIG
 from oracles import pbh_rank_real
 
-from avgtrack import clocksync, engine, equalclock
+from avgtrack import clocksync, engine, equalclock, graph
 from avgtrack.cli import ScenarioBundle, load_config
 from avgtrack.errors import DesignError, NumericalError
 from avgtrack.matkernel import (
@@ -304,8 +304,7 @@ class TestSolve:
             systems.append((a.copy(), b.copy()))
             return solve(a, b)
 
-        monkeypatch.setattr(clocksync, "solve", recorded)
-        monkeypatch.setattr(engine, "solve", recorded)
+        monkeypatch.setattr(graph, "solve", recorded)
         monkeypatch.setattr(equalclock, "solve", recorded)
         bundle = ScenarioBundle(load_config(STATIC_CONFIG))
         sync = clocksync.run_sync(bundle.topology, bundle.sync_offsets, step=bundle.sync_step)

@@ -19,7 +19,7 @@ from avgtrack import engine
 from avgtrack.clocksync import DEFAULT_TOL, clock_spread, run_sync, settling_bound
 from avgtrack.controllers import design_gains
 from avgtrack.engine import RK4_STABILITY_LIMIT, Scenario, _Dynamics, run
-from avgtrack.graph import Topology
+from avgtrack.graph import NodeSystem, Topology, incidence
 from avgtrack.signals import ConstantInput, InputFamily, Plant, SinusoidInput
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=50)
@@ -67,6 +67,54 @@ def test_sync_contracts_keeps_its_mean_rate_and_settles(system, step):
     assert np.all(np.abs(np.diff(clocks.mean(axis=1)) - step) <= 1e-12)
     assert result.settled_at is not None
     assert clock_spread(clocks[-1]) < DEFAULT_TOL
+
+
+@PROFILE
+@given(connected_graphs(), st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+def test_graph_operators(topology, channels, seed):
+    # Topology.scatter against the incidence matrix, and NodeSystem's matrix,
+    # product and lagged solve, on positive edge weights of at most 1 and M
+    # = [[c]] or a 2 x 2 symmetric positive definite matrix of norm at most
+    # about 2, so that the matrix's norm, and its condition number, stay
+    # below about 120
+    rng = np.random.default_rng(seed)
+    edges, nodes = topology.edge_count, topology.vertex_count * channels
+    d = incidence(topology)
+    tail, head = rng.uniform(-1.0, 1.0, (2, edges, channels))
+    scale = np.abs(d) @ np.abs(tail) + np.abs(d) @ np.abs(head)
+    got = topology.scatter(tail, head)
+    expected = np.maximum(d, 0.0) @ tail - np.maximum(-d, 0.0) @ head
+    assert np.all(np.abs(got - expected) <= 1e-14 * scale)
+    assert np.all(np.abs(topology.scatter(tail[:, 0]) - d @ tail[:, 0]) <= 1e-14 * scale[:, 0])
+
+    if channels == 1:
+        m = [[rng.uniform(0.1, 2.0)]]
+    else:
+        g = rng.uniform(-1.0, 1.0, (2, 2))
+        m = g @ g.T + 0.1 * np.eye(2)
+    system = NodeSystem(topology, m)
+    f_t, f_h = rng.uniform(1e-3, 1.0, (2, edges))
+    lhs = system.matrix(f_t, f_t).copy()
+    assert np.array_equal(lhs, lhs.T)
+    assert np.linalg.eigvalsh(lhs)[0] >= 1.0 - 1e-12
+    v = rng.uniform(-1.0, 1.0, nodes)
+    product = system.product(v, f_t)
+    assert np.max(np.abs(product - lhs @ v)) <= 1e-12 * np.max(np.abs(lhs @ v))
+    # W D^T has zero row sums whatever the two ends' weights
+    clock_system = NodeSystem(topology, 1.0).matrix(f_t, f_h)
+    rows = clock_system.sum(axis=1)
+    assert np.all(np.abs(rows - 1.0) <= 1e-14 * np.abs(clock_system).sum(axis=1))
+
+    # a run of solves with weights drifting by up to 5% step to step, as
+    # along a trajectory, so that most take conjugate gradients on a lagged
+    # inverse: the lagged solve agrees with LU
+    f = f_t
+    for _ in range(8):
+        f = np.minimum(f * rng.uniform(0.95, 1.05, edges), 1.0)
+        rhs = rng.uniform(-1.0, 1.0, nodes)
+        lagged = system.solve_lagged(f, rhs)
+        direct = system.solve(f, f, rhs)
+        assert np.max(np.abs(lagged - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
 @st.composite

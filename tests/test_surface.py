@@ -86,3 +86,21 @@ def test_readme_library_surface_imports():
     namespace: dict = {}
     exec(block, namespace)
     assert all(name in avgtrack.__all__ for name in namespace if not name.startswith("__"))
+
+
+def test_edge_sums_live_in_graph():
+    # every sum of per-edge terms into the agents goes through graph.py
+    # (Topology.scatter and NodeSystem), not a copy of its own
+    bincounts, incidence_halves = [], []
+    for path in sorted((REPO_ROOT / "src" / "avgtrack").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "bincount" and path.name != "graph.py":
+                    bincounts.append(path.name)
+            if isinstance(getattr(node, "ctx", None), ast.Load):
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+                if name in ("d_plus", "d_minus"):
+                    incidence_halves.append(path.name)
+    assert bincounts == [] and incidence_halves == []
