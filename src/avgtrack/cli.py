@@ -463,7 +463,10 @@ def _sync_pre_phase(bundle: ScenarioBundle):
         raise ConfigError(f"clock_sync.step: {bundle.sync_step:g} s is past float resolution "
                           "(more than 2**53 steps a second)")
     spread = clock_spread(bundle.sync_offsets)
-    with _stored("clock_sync.initial_offsets", f"the sync steps for a spread of {spread:g}"):
+    # rows that do not fit are a step's below the default, else the offsets'
+    key = "clock_sync.step" if bundle.sync_step < DEFAULT_STEP else "clock_sync.initial_offsets"
+    what = f"the sync steps for a spread of {spread:g} at a step of {bundle.sync_step:g} s"
+    with _stored(key, what):
         result = run_sync(
             bundle.topology,
             bundle.sync_offsets,

@@ -17,8 +17,8 @@ gathers the edge quantities; the other is linear in the state, the per-edge
 terms and a constant 1, and gives the derivative. Up to a state dimension
 of DENSE_MAX_DIM the scenario also compiles to the dense form, those two
 operators' matrices read off their values on the unit vectors, so one
-evaluation is one matrix-vector product whatever the control law. The same
-compiled object reproduces the per-agent control values for trace samples.
+evaluation is one matrix-vector product whatever the control law. The
+sampled controls come from the same helpers, given a block of stored states.
 The clock rows scatter the per-edge term of the sync pre-phase's clock law,
 clocksync.edge_coupling, and equal clocksync.clock_law bit for bit.
 
@@ -60,10 +60,10 @@ implicit step is one product with [P ; G_w P ; G_w 0], P the matrix of
 one matkernel.rk4 step without the direction term and G_w the gather's w
 rows, one with the map of the edge weights to the node matrix I + L f and
 the right-hand side, and LAPACK's LU solve without numpy's wrapper
-(matkernel.solve). The clocks then stay bitwise equal and
-the layer is one Python float a step. run keeps each sample as one row of
-the state and computes the path's sampled controls after the loop, one
-product per block of samples. On the shipped static system (N = 6, one
+(matkernel.solve). The clocks then stay bitwise equal and the layer is one
+Python float a step. On every route run keeps each sample as one row of the
+state and evaluates the controls at those rows after stepping,
+CONTROL_BLOCK rows at a time. On the shipped static system (N = 6, one
 BLAS thread, 2-vCPU x86 VM shared with other load; three alternating pairs
 of processes, best of five 2000-step runs each) an implicit step took
 7.2-8.4 us in the loop and 9.6-11.0 us as one call of advance, and an
@@ -105,6 +105,15 @@ _CONTROLLERS = ("static", "modified", "adaptive")
 # So for equal clocks the crossover lies above 300. The limit stays: the
 # dense form's memory grows as dim^2 and no workload runs near it.
 DENSE_MAX_DIM = 300
+
+# Stored states per evaluation of the sampled controls (_Dynamics.controls):
+# at most CONTROL_BLOCK, and at most CONTROL_ENTRIES / dim, since a block's
+# temporaries grow with both. All 3001 samples of the shipped static run at
+# once raised the process's peak memory by 0.5-0.9 MB, and the 51 samples of
+# seed-1 large_static (dim 1600) at once raised engine.run's traced peak
+# from 1.95 to 2.97 MB; in blocks of 10 it stays at 1.95 MB.
+CONTROL_BLOCK = 256
+CONTROL_ENTRIES = 2**14
 
 # Floor of the boundary layer eps e^{-phi t}, relative to c2 rho(K B). The
 # implicit step's matrix is I + f |KB| L with f = dt c2 / (||w|| + layer);
@@ -193,10 +202,10 @@ class Scenario:
 class _Dynamics:
     """Scenario-compiled right-hand side of the stacked ODE.
 
-    __call__(t, y) evaluates the derivative; advance(t, y, dt) takes one
-    step, RK4 or, where layer_unresolved says so, implicit_step;
-    controls(t, y) reproduces the stacked control inputs u (N, p) for trace
-    sampling.
+    __call__(t, y) evaluates the derivative; steps(y, times, dt) takes a
+    step from each time in turn, RK4 or, where layer_unresolved says so,
+    implicit_step, and advance(t, y, dt) one of them; controls(rows, out)
+    evaluates the stacked control inputs u at a block of stored states.
 
     The edge operators define each law: _gather_edges forms the edge
     quantities and _rates_edges, linear in the state, the per-edge terms
@@ -278,7 +287,8 @@ class _Dynamics:
         if dim <= DENSE_MAX_DIM:
             self.gather = matrix_of(self._gather_edges, dim)
             self.out_map = matrix_of(self._rates_edges, self._stacked.size)
-            self._gather, self._rates = self.gather.dot, self.out_map.dot
+            gather_t = self.gather.T  # bitwise gather.dot(y) for y (dim,); also takes (S, dim)
+            self._gather, self._rates = (lambda y: np.dot(y, gather_t)), self.out_map.dot
             self.dense = True
 
         self.has_wave = self.uniform_wave and (self.wave_omega != 0.0 or self.wave_phase != 0.0)
@@ -315,17 +325,20 @@ class _Dynamics:
     # Each law is written once, on the edge index arrays: _gather_edges forms
     # the edge differences and _rates_edges sums the edge terms back into the
     # agents. The dense form is their matrix, which only __call__ applies.
+    # The helpers up to _control also take a block of states with a leading
+    # sample axis, (S, dim), as controls passes them.
 
     def _gather_edges(self, y):
         """[w | t_tail - t_head | (adaptive laws) x_tail - x_head], flat: the
         edge inputs w = K (x_tail - x_head), (E*p,), the clock differences,
         (E,), and the state differences, (E*n,)."""
         dx = self._state_differences(y)
-        clk = y[self.sl_c]
-        parts = [(dx @ self.k_t).ravel(), clk[self.tails] - clk[self.heads]]
+        clk = y[..., self.sl_c]
+        lead = y.shape[:-1]
+        parts = [(dx @ self.k_t).reshape(*lead, -1), clk[..., self.tails] - clk[..., self.heads]]
         if self.adaptive:
-            parts.append(dx.ravel())
-        return np.concatenate(parts)
+            parts.append(dx.reshape(*lead, -1))
+        return np.concatenate(parts, axis=-1)
 
     def _rates_edges(self, v):
         """The derivative less the reference inputs, as a linear map of
@@ -352,12 +365,10 @@ class _Dynamics:
     def _edge_terms(self, y):
         """Edge inputs w = K (x_tail - x_head), flat (E*p,), clock
         differences, their norms, and (adaptive laws) the state differences
-        x_tail - x_head (E, n)."""
+        x_tail - x_head, flat (E*n,)."""
         g = self._gather(y)
-        w = g[self.i_w]
-        dclk = g[self.i_clk]
-        dx = g[self.i_dx].reshape(self.n_edges, self.n) if self.adaptive else None
-        return w, dclk, self._norms(w), dx
+        w = g[..., self.i_w]
+        return w, g[..., self.i_clk], self._norms(w), g[..., self.i_dx]
 
     def _norms(self, w):
         """Per-edge norms ||w_e|| of flat edge inputs w (..., E*p), (..., E)."""
@@ -368,12 +379,23 @@ class _Dynamics:
 
     def _gather_w(self, y):
         """The edge inputs w = K (x_tail - x_head) alone, flat (E*p,)."""
-        return (self._state_differences(y) @ self.k_t).ravel()
+        return (self._state_differences(y) @ self.k_t).reshape(*y.shape[:-1], -1)
+
+    def _positions(self, y):
+        """x = s + r per agent, (N, n) (or (S, N, n))."""
+        x = y[..., self.sl_s] + y[..., self.sl_r]
+        return x.reshape(*y.shape[:-1], self.n_agents, self.n)
 
     def _state_differences(self, y):
         """x_tail - x_head per edge, (E, n)."""
-        x = (y[self.sl_s] + y[self.sl_r]).reshape(self.n_agents, self.n)
-        return x.take(self.tails, axis=0) - x.take(self.heads, axis=0)
+        x = self._positions(y)
+        return x.take(self.tails, axis=-2) - x.take(self.heads, axis=-2)
+
+    def _scatter(self, tail, head=None):
+        """Topology.scatter of per-edge rows (E, p), or (S, E, p), into the
+        agents: (N, p) or (S, N, p)."""
+        head = None if head is None else head.swapaxes(0, -2)
+        return self.topo.scatter(tail.swapaxes(0, -2), head).swapaxes(0, -2)
 
     def _apply_b(self, f):
         """(I kron B) applied to stacked inputs f (N, p) or (N*p,), flat."""
@@ -410,12 +432,12 @@ class _Dynamics:
         if synced and self.connected:
             inv = 1.0 / (nrm + self._synced_layer(y))
             return inv, inv
-        lay = self.eps * np.exp(-self.phi * y[self.sl_c])
+        lay = self.eps * np.exp(-self.phi * y[..., self.sl_c])
         np.maximum(lay, self.layer_floor, out=lay)
-        inv_t = 1.0 / (nrm + lay[self.tails])
+        inv_t = 1.0 / (nrm + lay[..., self.tails])
         if synced:
             return inv_t, inv_t
-        return inv_t, 1.0 / (nrm + lay[self.heads])
+        return inv_t, 1.0 / (nrm + lay[..., self.heads])
 
     def _synced_layer(self, y):
         """The layer eps e^{-phi t} at the first clock, floored at
@@ -430,7 +452,7 @@ class _Dynamics:
     def _edge_scale(self, coeff):
         if self.single_channel:
             return coeff
-        return np.repeat(coeff, self.p)
+        return np.repeat(coeff, self.p, axis=-1)
 
     def _add_inputs(self, t, ydot):
         if self.has_wave:
@@ -445,15 +467,14 @@ class _Dynamics:
         law's states."""
         if self.controller == "static":
             if w2 is None:
-                w2 = self._gather_w(y).reshape(self.n_edges, self.p)
-            return self.c1 * self.topo.scatter(w2)
-        x = (y[self.sl_s] + y[self.sl_r]).reshape(self.n_agents, self.n)
-        return x @ self.k_t
+                w2 = self._gather_w(y).reshape(*y.shape[:-1], self.n_edges, self.p)
+            return self.c1 * self._scatter(w2)
+        return self._positions(y) @ self.k_t
 
     def _control(self, y, w2, z_t, z_h):
         """Stacked controls u (N, p) = gain (Dp z_t - Dm z_h) plus, for the
         static and modified laws, their linear feedback (_feedback)."""
-        u = self.gain * self.topo.scatter(z_t, z_h)
+        u = self.gain * self._scatter(z_t, z_h)
         if not self.adaptive:
             u += self._feedback(y, w2)
         return u
@@ -467,11 +488,11 @@ class _Dynamics:
         dir_h = dir_t if inv_h is inv_t else w * self._edge_scale(inv_h)
         if not self.adaptive:
             return dir_t, dir_h
-        alpha_w = self._edge_scale(y[self.sl_a]) * w
-        beta = self._edge_scale(y[self.sl_b])
+        alpha_w = self._edge_scale(y[..., self.sl_a]) * w
+        beta = self._edge_scale(y[..., self.sl_b])
         return alpha_w + beta * dir_t, alpha_w + beta * dir_h
 
-    # -- derivative and controls -----------------------------------------
+    # -- derivative ------------------------------------------------------
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
         w, dclk, nrm, dx = self._edge_terms(y)
@@ -480,6 +501,7 @@ class _Dynamics:
         sig = self._no_sig if synced else edge_coupling(dclk)
         parts = (y, *self._edge_inputs(y, w, inv_t, inv_h), sig)
         if self.adaptive:
+            dx = dx.reshape(self.n_edges, self.n)
             quad = ((dx @ self.gamma_mat) * dx).sum(axis=1)
             parts += (quad, nrm if self.discontinuous else nrm * nrm * inv_t)
         for view, part in zip(self._stacked_parts, parts):
@@ -488,22 +510,24 @@ class _Dynamics:
 
     # -- past the resolution limit -------------------------------------------
 
-    def advance(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-        """One step of the stacked system from (t, y): classical
-        fourth-order Runge-Kutta while it resolves the boundary layer, and
-        implicit_step past that (see layer_unresolved). On the equal-clock
-        path the step is the loop's (equalclock.EqualClockLoop.steps), which
-        reads every clock off the first: along a trajectory from the
-        scenario's equal start they stay bitwise equal.
-
+    def steps(self, y: np.ndarray, times, dt: float) -> np.ndarray:
+        """A step of size dt from each time in times in turn, from y:
+        classical fourth-order Runge-Kutta while it resolves the boundary
+        layer, and implicit_step past that (see layer_unresolved). On the
+        equal-clock path they are the loop's (equalclock.EqualClockLoop),
+        which reads every clock off the first, so that they stay bitwise
+        equal, and returns its own buffer, which the next call overwrites.
         The implicit step above the dense limit with equal clocks keeps
-        state between calls, so one _Dynamics serves one trajectory (see
-        implicit_step)."""
+        state between calls, so one _Dynamics serves one trajectory."""
         if self.equal_clock_path:
-            return self.loop.steps(y, (t,), dt).copy()
-        if self.layer_unresolved(y, dt):
-            return self.implicit_step(t, y, dt)
-        return rk4(self, t, y, dt)
+            return self.loop.steps(y, times, dt)
+        for t in times:
+            y = self.implicit_step(t, y, dt) if self.layer_unresolved(y, dt) else rk4(self, t, y, dt)
+        return y
+
+    def advance(self, t: float, y: np.ndarray, dt: float) -> np.ndarray:
+        """One step from (t, y) (steps), in an array of its own."""
+        return self.steps(y, (t,), dt).copy()
 
     def layer_unresolved(self, y: np.ndarray, dt: float) -> bool:
         """Whether RK4 at step dt no longer resolves the c2-weighted
@@ -575,13 +599,20 @@ class _Dynamics:
         s_next += self._apply_b(v)
         return y_next
 
-    def controls(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Stacked control inputs u (N, p) at the given state."""
-        w, dclk, nrm, _ = self._edge_terms(y)
-        inv_t, inv_h = self._direction_coeffs(y, nrm, not np.count_nonzero(dclk))
-        shape = (self.n_edges, self.p)
-        z_t, z_h = (z.reshape(shape) for z in self._edge_inputs(y, w, inv_t, inv_h))
-        return self._control(y, w.reshape(shape), z_t, z_h)
+    def controls(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The stacked control inputs u at each stored state of rows
+        (S, dim), written into out (S, N*p) and returned, CONTROL_BLOCK rows
+        at a time (fewer where dim is large). Each edge end reads the layer at
+        its own clock."""
+        block = max(1, min(CONTROL_BLOCK, CONTROL_ENTRIES // self.dim))
+        for start in range(0, rows.shape[0], block):
+            y = rows[start : start + block]
+            shape = (y.shape[0], self.n_edges, self.p)
+            w, _, nrm, _ = self._edge_terms(y)
+            z_t, z_h = self._edge_inputs(y, w, *self._direction_coeffs(y, nrm, False))
+            u = self._control(y, w.reshape(shape), z_t.reshape(shape), z_h.reshape(shape))
+            out[start : start + y.shape[0]] = u.reshape(y.shape[0], -1)
+        return out
 
     def component_name(self, flat_index: int) -> str:
         """Human-readable name of a flat state entry, for blow-up reports."""
@@ -649,39 +680,26 @@ def run(scenario: Scenario) -> Trace:
 
     dyn = _Dynamics(scenario)
     n_agents, n, p = dyn.n_agents, dyn.n, dyn.p
-    n_samples = steps // scenario.sample_every + 1
-    synced = dyn.equal_clock_path
-
-    times = np.empty(n_samples)
+    dt, every = scenario.step, scenario.sample_every
+    n_samples = steps // every + 1
     rows = np.empty((n_samples, dyn.dim))  # one sampled state a row
-    u_out = np.empty((n_samples, n_agents * p))
+    times = np.arange(0, steps + 1, every) * dt
 
     # the layout of _Dynamics, the adaptive gains starting at zero
     y = np.concatenate(
         (scenario.s0.ravel(), scenario.r0.ravel(), scenario.clocks0, np.zeros(2 * dyn.n_edges))
     )
-    dt = scenario.step
-    every = scenario.sample_every
-
+    rows[0] = y
     # Non-finite values are sticky through every term of the dynamics, so
     # checking at sample instants still catches any blow-up; a sum is finite
     # when every entry is, and _check_finite looks closer when it is not.
-    for sample in range(n_samples):
+    for sample in range(1, n_samples):
         k = sample * every
-        if sample and synced:
-            y = dyn.loop.steps(y, (j * dt for j in range(k - every, k)), dt)
-        elif sample:
-            for j in range(k - every, k):
-                y = dyn.advance(j * dt, y, dt)
-        t = k * dt
+        y = dyn.steps(y, (j * dt for j in range(k - every, k)), dt)
         if not math.isfinite(y.sum()):
-            _check_finite(dyn, y, t)
-        times[sample] = t
+            _check_finite(dyn, y, k * dt)
         rows[sample] = y
-        if not synced:
-            u_out[sample] = dyn.controls(t, y).ravel()
-    if synced:
-        dyn.loop.controls(rows, u_out)
+    u_out = dyn.controls(rows, np.empty((n_samples, n_agents * p)))
     s_out = rows[:, dyn.sl_s].reshape(n_samples, n_agents, n)
     r_out = rows[:, dyn.sl_r].reshape(n_samples, n_agents, n)
     c_out, a_out, b_out = rows[:, dyn.sl_c], rows[:, dyn.sl_a], rows[:, dyn.sl_b]

@@ -1,13 +1,13 @@
-"""The engine's equal-clock path: the dense form's steps, and its sampled
-controls, when every clock is equal at the start.
+"""The engine's equal-clock path: the dense form's steps when every clock
+is equal at the start.
 
 Each clock row of every step then adds the same value, so the clocks stay
 bitwise equal, the clock couplings stay zero and the boundary layer
 delta = eps e^{-phi t} is one value for every edge. At N = 6 a step's cost
 is the count of numpy calls, not arithmetic, so EqualClockLoop takes each
 step as a few products with matrices read off the edge operators once, in
-one loop over a whole sample interval that writes through buffers it owns;
-run then computes the sampled controls in blocks of samples.
+one loop over a whole sample interval that writes through buffers it owns.
+The sampled controls are the dynamics' own (engine._Dynamics.controls).
 """
 
 from __future__ import annotations
@@ -18,11 +18,6 @@ import numpy as np
 
 from .graph import incidence
 from .matkernel import RK4_STABILITY_LIMIT, matrix_of, rk4, solve
-
-# Samples per product of the sampled controls (EqualClockLoop.controls): all
-# 3001 samples of the shipped static run at once raised the process's peak
-# memory by 0.5-0.9 MB.
-CONTROL_BLOCK = 256
 
 
 class EqualClockLoop:
@@ -40,21 +35,18 @@ class EqualClockLoop:
     (node_rows; the others stay those of I in the reused matrix lhs),
     L f = vec((D diag(f) D^T) kron (-K B)), and below them to the
     right-hand side (D kron I_p)(f w*); on a ring of 50 plus 25 chords all
-    (N p)^2 entries would be 12 times the rows. The control map takes
-    [y | w / (||w|| + delta)] to the controls: the law's linear feedback and
-    c2 (D kron I_p). step_matrix is built per step size."""
+    (N p)^2 entries would be 12 times the rows. step_matrix is built per
+    step size."""
 
     def __init__(self, dyn):
         dim, n_edges, p = dyn.dim, dyn.n_edges, dyn.p
         ep, nodes = n_edges * p, dyn.n_agents * p
         self.dim, self.n_edges, self.p, self.nodes = dim, n_edges, p, nodes
-        self.clock = dyn.sl_c.start
         self.eps, self.phi, self.floor = dyn.eps, dyn.phi, dyn.layer_floor
         self.omega, self.phase = dyn.wave_omega, dyn.wave_phase
         self.stiffness, self.c2, self.single = dyn.stiffness, dyn.c2, dyn.single_channel
         self.gather_w = dyn.gather[dyn.i_w]
         self._linear, self._const, self._amp = dyn._linear, dyn.const, dyn.in_amp
-        self._norms = dyn._norms
 
         y_cols, z_t, z_h = dyn._in_parts[:3]
         out_map = dyn.out_map
@@ -76,8 +68,6 @@ class EqualClockLoop:
         self.implicit_map[:reached, :n_edges] = layer_map[self.node_rows]
         self.implicit_map[:reached, -1] = self.lhs_flat[self.node_rows]
         self.implicit_map[reached:, n_edges:-1] = d_p
-        feedback = matrix_of(lambda y: dyn._feedback(y).ravel(), dim)
-        self.control_map = np.hstack((feedback, dyn.gain * d_p))
         self.b_rows = np.zeros((dim, nodes))  # I kron B on the s rows of a state
         self.b_rows[dyn.sl_s] = matrix_of(dyn._apply_b, nodes)
         self._step_dt = self._step = None
@@ -207,23 +197,6 @@ class EqualClockLoop:
             clock += rk4_clock
             clocks[...] = clock
         return state
-
-    def controls(self, rows: np.ndarray, u: np.ndarray):
-        """The dynamics' controls() at each state of rows (S, dim), written
-        into u (S, N*p): u = F y + c2 D (w / (||w|| + delta)), F the law's
-        linear feedback and delta the layer at the row's clock, one product
-        with the control map per CONTROL_BLOCK rows."""
-        for start in range(0, rows.shape[0], CONTROL_BLOCK):
-            block = rows[start : start + CONTROL_BLOCK]
-            count = block.shape[0]
-            w = block @ self.gather_w.T
-            lay = self.eps * np.exp(-self.phi * block[:, self.clock])
-            np.maximum(lay, self.floor, out=lay)
-            den = self._norms(w)
-            den += lay[:, None]
-            w = w.reshape(count, self.n_edges, self.p) / den[:, :, None]
-            np.dot(np.hstack((block, w.reshape(count, -1))), self.control_map.T,
-                   out=u[start : start + count])
 
     def step_matrix(self, dt: float) -> np.ndarray:
         """[P ; G_w P ; G_w 0] at step dt, to multiply [y | 1 | s0 | sm |

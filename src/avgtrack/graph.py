@@ -72,16 +72,16 @@ class Topology:
 
     def scatter(self, tail: np.ndarray, head: np.ndarray | None = None) -> np.ndarray:
         """D+ tail - D- head, D+ and D- the incidence matrix's +1 and -1
-        entries as 0/1 matrices: per-edge rows (E,) or (E, p) summed into
-        each edge's tail and, negated, its head, (N,) or (N, p), by one
+        entries as 0/1 matrices: per-edge rows (E,) or (E, ...) summed into
+        each edge's tail and, negated, its head, (N,) or (N, ...), by one
         bincount over ends. head defaults to tail, which gives D tail."""
         weights = np.concatenate((tail, -(tail if head is None else head)))
         n = self.vertex_count
         if weights.ndim == 1:
             return np.bincount(self.ends, weights, n)
-        p = weights.shape[1]
-        bins = self.ends if p == 1 else (self.ends[:, None] * p + np.arange(p)).ravel()
-        return np.bincount(bins, weights.ravel(), n * p).reshape(n, p)
+        k = math.prod(weights.shape[1:])
+        bins = self.ends if k == 1 else (self.ends[:, None] * k + np.arange(k)).ravel()
+        return np.bincount(bins, weights.ravel(), n * k).reshape(n, *weights.shape[1:])
 
 
 class NodeSystem:

@@ -378,3 +378,9 @@ def start_vector(scenario) -> np.ndarray:
     vector engine.run starts from."""
     gains = np.zeros(scenario.topology.edge_count)
     return pack_state(scenario.s0, scenario.r0, scenario.clocks0, gains, gains)
+
+
+def controls_at(dyn, y) -> np.ndarray:
+    """The compiled dynamics' stacked controls u (N, p) at one state y."""
+    u = dyn.controls(np.asarray(y)[None], np.empty((1, dyn.n_agents * dyn.p)))
+    return u.reshape(dyn.n_agents, dyn.p)

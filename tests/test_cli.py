@@ -198,6 +198,18 @@ class TestExitCodes:
         assert err.startswith("schema-error: clock_sync.step: ")
         assert len(err.strip().splitlines()) == 1
 
+    def test_unstorable_small_clock_sync_step_is_named(self, tmp_path, capsys):
+        # within float resolution, but 1.2e12 stored sync steps: the step
+        # below the default asks for them, not the shipped offsets
+        doc = json.loads(STATIC_CONFIG.read_text())
+        doc["clock_sync"]["step"] = 1e-12
+        path = write_config(tmp_path, doc)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema-error: clock_sync.step: ")
+        assert "do not fit in memory" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_unstorable_trace_is_one(self, tmp_path, capsys):
         doc = json.loads(STATIC_CONFIG.read_text())
         doc["clock_sync"]["enabled"] = False

@@ -9,15 +9,16 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import start_vector
+from oracles import adaptive_control, modified_control, start_vector, static_control
 from test_matkernel import random_stabilizable
 
 from avgtrack import engine
 from avgtrack.clocksync import DEFAULT_TOL, clock_spread, run_sync, settling_bound
-from avgtrack.controllers import design_gains
+from avgtrack.controllers import design_adaptive_params, design_gains
 from avgtrack.engine import RK4_STABILITY_LIMIT, Scenario, _Dynamics, run
 from avgtrack.graph import NodeSystem, Topology, incidence
 from avgtrack.signals import ConstantInput, InputFamily, Plant, SinusoidInput
@@ -204,3 +205,71 @@ def test_equal_clock_path_matches_the_edge_form(draws):
     again = run(sc)
     for name in ("s", "r", "clocks", "alpha", "beta", "u", "xi", "v1"):
         assert np.array_equal(getattr(again, name), getattr(dense, name))
+
+
+@st.composite
+def control_draws(draw):
+    """A connected graph of 2..8 agents, n = 1..2, p = 1..2, equal or
+    unequal clocks, the direction, the operator form and a seed."""
+    return (
+        draw(connected_graphs(max_vertices=8)),
+        draw(st.integers(1, 2)),
+        draw(st.integers(1, 2)),
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@pytest.mark.parametrize("controller", ["static", "modified", "adaptive"])
+@PROFILE
+@given(control_draws())
+def test_sampled_controls_are_the_per_agent_laws(controller, draws):
+    # run's sampled u against the per-agent oracles, each agent's layer at
+    # its own clock. The clocks stay in [0, 1.01] and eps >= 0.5, so the
+    # layer stays far above its floor, which the oracles leave out. Stated
+    # before measuring: every sample within 1e-10 of that sample's max |u|.
+    topology, n, p, equal, discontinuous, edge_form, seed = draws
+    rng = np.random.default_rng(seed)
+    agents = topology.vertex_count
+    a, b = random_stabilizable(rng, n, p)
+    plant = Plant(a=a, b=b)
+    family = InputFamily(
+        specs=tuple(ConstantInput(value=tuple(rng.uniform(-2.0, 2.0, p))) for _ in range(agents)),
+        input_dim=p,
+    )
+    gains = design_gains(
+        plant, topology, family, np.eye(n), eps=rng.uniform(0.5, 5.0), phi=rng.uniform(0.2, 1.0)
+    )
+    sc = Scenario(
+        plant=plant,
+        topology=topology,
+        family=family,
+        controller=controller,
+        gains=gains,
+        adapt=design_adaptive_params(gains, 10.0, 10.0, 0.01, 0.01),
+        r0=rng.uniform(-1.0, 1.0, (agents, n)),
+        s0=rng.uniform(-0.5, 0.5, (agents, n)) if controller == "modified" else None,
+        clocks0=np.full(agents, 0.5) if equal else rng.uniform(0.0, 1.0, agents),
+        step=1e-3,
+        horizon=1e-2,
+        sample_every=2,
+        discontinuous=discontinuous,
+    )
+    with mock.patch.object(engine, "DENSE_MAX_DIM", 0 if edge_form else engine.DENSE_MAX_DIM):
+        assert _Dynamics(sc).dense is not edge_form
+        tr = run(sc)
+    for k in range(tr.sample_count):
+        x, clocks = tr.x[k], tr.clocks[k]
+        for i in range(agents):
+            if controller == "static":
+                u, _ = static_control(i, x, gains, clocks[i], topology, discontinuous)
+            elif controller == "modified":
+                u = modified_control(i, x, gains, clocks[i], topology, discontinuous)
+            else:
+                u, _, _ = adaptive_control(
+                    i, x, gains, sc.adapt, tr.alpha[k], tr.beta[k], clocks[i], topology,
+                    discontinuous,
+                )
+            assert np.max(np.abs(tr.u[k, i] - u)) <= 1e-10 * np.max(np.abs(tr.u[k]))
